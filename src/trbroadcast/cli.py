@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -345,6 +346,9 @@ def _sweep_instance(job: tuple[str, int, int, int, int, int]) -> list:
 
 def cmd_sweep(args) -> int:
     started = time.monotonic()
+    if args.threads < 1:
+        raise InputError(f"--threads must be at least 1, got {args.threads}")
+    threads = min(args.threads, os.cpu_count() or 1)
     families = ["path", "cycle"] if args.family == "both" else [args.family]
     jobs = [
         (family, n, k, t, r, args.budget)
@@ -354,8 +358,8 @@ def cmd_sweep(args) -> int:
         for r in range(1, min(t, args.r_max) + 1)
         for n in range(1, args.n_max + 1)
     ]
-    if args.threads > 1:
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
+    if threads > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(_sweep_instance, jobs, chunksize=16))
     else:
         rows = [_sweep_instance(job) for job in jobs]
@@ -504,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="cap on r (r always stays <= t)")
     sub.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     sub.add_argument("--threads", type=int, default=1,
-                     help="parallel workers; output order is unchanged")
+                     help="parallel workers, at most the CPU count; output order is unchanged")
     _add_common(sub, json_flag=False)
     sub.set_defaults(func=cmd_sweep)
 

@@ -111,16 +111,52 @@ def distance(spec: GraphSpec, u: int, v: int) -> int:
     return dr + dc
 
 
-def ball(spec: GraphSpec, v: int, radius: int) -> list[int]:
-    """Sorted list of vertices within the given distance of v."""
+def _axis(c: int, length: int, span: int, wrap: bool) -> list[tuple[int, int]]:
+    """(x, |x - c|) for every coordinate x within span of c on one axis of
+    the given length, in coordinate order.
+
+    A clipped axis stops at its ends. A wrapped axis measures the shorter
+    way round and lists each coordinate once, also when 2 * span + 1
+    reaches the whole axis.
+    """
+    if not wrap:
+        lo, hi = max(0, c - span), min(length, c + span + 1)
+        return list(zip(range(lo, hi), map(abs, range(lo - c, hi - c))))
+    if 2 * span + 1 >= length:
+        return [(x, s if 2 * s <= length else length - s)
+                for x, s in enumerate(map(abs, range(-c, length - c)))]
+    return sorted((x % length, abs(x - c)) for x in range(c - span, c + span + 1))
+
+
+def near(spec: GraphSpec, v: int, radius: int) -> list[tuple[int, int]]:
+    """(u, distance(spec, v, u)) for every vertex u within radius of v, in
+    index order.
+
+    Built from the family's geometry in O(|ball|), without a pass over
+    the other vertices: path and cycle powers walk one axis of span
+    radius * k and take ceil(offset / k); grids and tori walk the rows
+    within radius and, in each, the columns within radius - dy. Paths
+    and grids clip at the ends, cycles and tori wrap.
+    """
     _check_vertex(spec, v)
     if radius < 0:
         raise InputError(f"radius must be nonnegative, got {radius}")
-    nv = spec.num_vertices
-    if spec.family is Family.PATH:
-        span = radius * spec.k
-        return list(range(max(0, v - span), min(nv, v + span + 1)))
-    return [u for u in range(nv) if distance(spec, u, v) <= radius]
+    if spec.family in (Family.PATH, Family.CYCLE):
+        k = spec.k
+        line = _axis(v, spec.n, radius * k, spec.family is Family.CYCLE)
+        return [(u, -(-s // k)) for u, s in line]
+    wrap = spec.family is Family.TORUS
+    row, col = divmod(v, spec.cols)
+    out = []
+    for y, dy in _axis(row, spec.rows, radius, wrap):
+        base = y * spec.cols
+        out.extend((base + x, dy + dx) for x, dx in _axis(col, spec.cols, radius - dy, wrap))
+    return out
+
+
+def ball(spec: GraphSpec, v: int, radius: int) -> list[int]:
+    """Sorted list of vertices within the given distance of v."""
+    return [u for u, _ in near(spec, v, radius)]
 
 
 def neighbors(spec: GraphSpec, v: int) -> list[int]:

@@ -5,6 +5,11 @@ least-index deficient vertex; the only useful candidates are vertices
 within t - 1 of it, taken in index order, which makes runs fully
 deterministic. Pruning compares the incumbent against the remaining
 capped demand divided by one tower's best possible usable supply.
+
+Set-up builds the cover and serve tables from one radius t - 1 kernel
+call (`graphs.near`) per vertex, so it costs V x |ball| entries rather
+than V^2 distance calls. The final witness audit (`is_broadcasting`)
+stamps towers x |ball| entries and has no early exit.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .graphs import Family, GraphSpec, ball, distance
+from .graphs import Family, GraphSpec, near
 from .signal import SignalParams, TowerSet, is_broadcasting, usable_cap_1d, usable_cap_2d
 
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -64,9 +69,9 @@ def solve(spec: GraphSpec, params: SignalParams, node_budget: int = DEFAULT_NODE
     cover: list[list[tuple[int, int]]] = []
     serve: list[list[int]] = []
     for v in range(nv):
-        near = ball(spec, v, reach)
-        serve.append(near)
-        cover.append([(u, t - distance(spec, v, u)) for u in near])
+        pairs = near(spec, v, reach)
+        serve.append([u for u, _ in pairs])
+        cover.append([(u, t - d) for u, d in pairs])
     supplies = [sum(min(r, g) for _, g in cover[u]) for u in range(nv)]
     cap = _tower_cap(spec, params, supplies)
 

@@ -279,6 +279,40 @@ def test_sweep_reruns_are_byte_identical(tmp_path):
     assert first.read_bytes() == threaded.read_bytes()
 
 
+def test_sweep_threads_rejected_below_one_and_clamped_to_cpus(monkeypatch):
+    import trbroadcast.cli as cli
+
+    created = []
+
+    class RecordingPool:
+        """Records max_workers and runs the jobs inline; spawns nothing."""
+
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    base = ["sweep", "path", "--n-max", "3", "--k-max", "1", "--t-max", "1"]
+    for bad in ("0", "-5"):
+        code, out, err = run(base + [f"--threads={bad}"])
+        assert code == 2 and out == ""
+        assert "--threads" in err
+    assert created == []
+    serial = run(base)
+    assert run(base + ["--threads", str(10 ** 9)]) == serial
+    assert run(base + ["--threads", "2"]) == serial
+    assert created == [3, 2]
+
+
 def test_cycle_sweep_clean_on_default_small_range():
     code, _, err = run(["sweep", "cycle", "--n-max", "10", "--k-max", "2",
                         "--t-max", "3"])
@@ -312,6 +346,12 @@ def test_manifest_written_only_when_asked(tmp_path):
 # ------------------------------------------------------- console script
 
 
+def src_env():
+    """The environment with the repo's src first on PYTHONPATH."""
+    path = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
 def console_script():
     """Command prefix and environment that run the `trbroadcast` script.
 
@@ -327,9 +367,7 @@ def console_script():
         target = tomllib.load(fh)["project"]["scripts"]["trbroadcast"]
     module, _, func = target.partition(":")
     wrapper = f"import sys; from {module} import {func}; sys.exit({func}())"
-    path = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    return [sys.executable, "-c", wrapper], env
+    return [sys.executable, "-c", wrapper], src_env()
 
 
 def test_installed_entry_point_smoke():
@@ -346,4 +384,15 @@ def test_installed_entry_point_smoke():
     assert proc.stdout.strip() == "3"
     # main()'s exit code must reach the shell, not only its output
     proc = script("formula", "path", "-n", "0", "-k", "1", "-t", "3", "-r", "2")
+    assert proc.returncode == 2
+
+
+def test_python_dash_m_runs_the_cli():
+    def module(*argv):
+        return subprocess.run([sys.executable, "-m", "trbroadcast", *argv],
+                              capture_output=True, text=True, env=src_env())
+
+    proc = module("--version")
+    assert proc.returncode == 0
+    proc = module("formula", "path", "-n", "0", "-k", "1", "-t", "2", "-r", "1")
     assert proc.returncode == 2

@@ -13,6 +13,7 @@ from trbroadcast import (
     bfs_distances_from,
     distance,
     format_graph_spec,
+    near,
     neighbors,
     parse_graph_spec,
 )
@@ -64,14 +65,32 @@ def test_ball_examples():
     assert ball(GraphSpec.cycle_power(12, 3), 0, 0) == [0]
 
 
+# Clipped and wrapped axes of every shape: 1 x m and m x 1 sides, rows !=
+# cols, cycles with n <= 2k + 1 (complete) and n in {1, 2}.
+KERNEL_SPECS = [
+    GraphSpec.path_power(11, 2), GraphSpec.path_power(1, 1), GraphSpec.path_power(6, 7),
+    GraphSpec.cycle_power(10, 2), GraphSpec.cycle_power(1, 1), GraphSpec.cycle_power(2, 1),
+    GraphSpec.cycle_power(2, 3), GraphSpec.cycle_power(5, 2), GraphSpec.cycle_power(4, 2),
+    GraphSpec.cycle_power(7, 3), GraphSpec.cycle_power(13, 3),
+    GraphSpec.grid(3, 4), GraphSpec.grid(1, 1), GraphSpec.grid(1, 6), GraphSpec.grid(6, 1),
+    GraphSpec.grid(4, 7),
+    GraphSpec.torus(4, 4), GraphSpec.torus(1, 1), GraphSpec.torus(1, 6), GraphSpec.torus(6, 1),
+    GraphSpec.torus(2, 2), GraphSpec.torus(3, 5), GraphSpec.torus(5, 8),
+]
+
+
 def test_ball_matches_distance_definition():
-    for spec in (GraphSpec.path_power(11, 2), GraphSpec.cycle_power(10, 2),
-                 GraphSpec.grid(3, 4), GraphSpec.torus(4, 4)):
-        for v in range(spec.num_vertices):
-            for radius in range(4):
-                expected = [u for u in range(spec.num_vertices)
-                            if distance(spec, u, v) <= radius]
-                assert ball(spec, v, radius) == expected
+    # near() and ball() against the per-pair definition, radius 0 up to
+    # one past the diameter.
+    for spec in KERNEL_SPECS:
+        nv = spec.num_vertices
+        rows = [[distance(spec, v, u) for u in range(nv)] for v in range(nv)]
+        diameter = max(max(row) for row in rows)
+        for v in range(nv):
+            for radius in range(diameter + 2):
+                expected = [(u, d) for u, d in enumerate(rows[v]) if d <= radius]
+                assert near(spec, v, radius) == expected, (spec, v, radius)
+                assert ball(spec, v, radius) == [u for u, _ in expected]
 
 
 def test_neighbors_are_distance_one():
@@ -191,5 +210,9 @@ def test_vertex_range_checks():
         ball(spec, 5, 1)
     with pytest.raises(InputError):
         ball(spec, 0, -1)
+    with pytest.raises(InputError):
+        near(spec, 5, 1)
+    with pytest.raises(InputError):
+        near(spec, 0, -1)
     with pytest.raises(InputError):
         bfs_distances_from(spec, 9)

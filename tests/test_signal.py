@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trbroadcast import (
+    BroadcastCheck,
     GraphSpec,
     InputError,
     SignalParams,
@@ -153,10 +154,16 @@ def test_total_demand():
 
 @st.composite
 def towered_graph(draw):
-    n = draw(st.integers(1, 40))
-    k = draw(st.integers(1, 3))
-    fam = draw(st.sampled_from(["path", "cycle"]))
-    spec = GraphSpec.path_power(n, k) if fam == "path" else GraphSpec.cycle_power(n, k)
+    fam = draw(st.sampled_from(["path", "cycle", "grid", "torus"]))
+    if fam in ("path", "cycle"):
+        n = draw(st.integers(1, 40))
+        k = draw(st.integers(1, 3))
+        spec = GraphSpec.path_power(n, k) if fam == "path" else GraphSpec.cycle_power(n, k)
+    else:
+        rows = draw(st.integers(1, 7))
+        cols = draw(st.integers(1, 7))
+        spec = GraphSpec.grid(rows, cols) if fam == "grid" else GraphSpec.torus(rows, cols)
+    n = spec.num_vertices
     towers = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=min(n, 8)))
     t = draw(st.integers(1, 6))
     r = draw(st.integers(1, 6))
@@ -194,14 +201,23 @@ def test_adding_a_tower_never_hurts(case, data):
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(towered_graph())
 def test_broadcast_check_matches_vertex_audits(case):
+    # Both functions run on the stencil kernel; the reference here is the
+    # per-pair definition, summed over every tower through distance().
     spec, towers, params = case
-    check = is_broadcasting(towers, params)
-    deficient = [
-        v for v in range(spec.num_vertices)
-        if audit_vertex(towers, params, v).raw_signal < params.r
+    t, r = params.t, params.r
+    gains = [
+        [max(0, t - distance(spec, u, v)) for u in towers.vertices]
+        for v in range(spec.num_vertices)
     ]
+    for v, row in enumerate(gains):
+        audit = audit_vertex(towers, params, v)
+        assert audit.raw_signal == sum(row)
+        assert audit.capped_signal == sum(min(r, g) for g in row)
+    check = is_broadcasting(towers, params)
+    deficient = [v for v, row in enumerate(gains) if sum(row) < r]
     if deficient:
         assert not check.ok
         assert check.deficient_vertex == deficient[0]
+        assert check.signal == sum(gains[deficient[0]])
     else:
-        assert check.ok
+        assert check == BroadcastCheck(True)
