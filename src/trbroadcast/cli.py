@@ -50,6 +50,9 @@ EXIT_BUDGET = 3
 # broadcasting configuration is expected to sit beside at least 4 excess.
 WINDOW_THRESHOLD_R3 = 4
 
+# What a command handler returns: its exit code and the files it wrote.
+Outcome = tuple[int, list[str]]
+
 
 def _emit(text: str, out: str | None) -> list[str]:
     """Write a payload to --out when given, else to stdout. Returns paths."""
@@ -69,12 +72,13 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _write_manifest(args, inputs: dict, outputs: list[str], started: float) -> None:
+def _write_manifest(args, argv: list[str], outputs: list[str], started: float) -> None:
     if not getattr(args, "manifest", None):
         return
     manifest = {
+        "argv": argv,
         "command": args.command,
-        "inputs": inputs,
+        "inputs": {k: v for k, v in vars(args).items() if not callable(v)},
         "outputs": outputs,
         "version": __version__,
         "timing_seconds": round(time.monotonic() - started, 6),
@@ -101,8 +105,7 @@ def _load_json_file(path: str):
 # ---------------------------------------------------------------- formula
 
 
-def cmd_formula(args) -> int:
-    started = time.monotonic()
+def cmd_formula(args) -> Outcome:
     if args.family == "path":
         gamma = gamma_path_power(args.n, args.k, args.t, args.r)
     else:
@@ -114,20 +117,13 @@ def cmd_formula(args) -> int:
         )
     else:
         text = str(gamma)
-    outputs = _emit(text, args.out)
-    _write_manifest(args, vars_without(args, "func"), outputs, started)
-    return EXIT_OK
-
-
-def vars_without(args, *drop: str) -> dict:
-    return {k: v for k, v in vars(args).items() if k not in drop and not callable(v)}
+    return EXIT_OK, _emit(text, args.out)
 
 
 # ------------------------------------------------------------------ solve
 
 
-def cmd_solve(args) -> int:
-    started = time.monotonic()
+def cmd_solve(args) -> Outcome:
     spec = parse_graph_spec(args.spec)
     result = solve(spec, _params(args), node_budget=args.budget)
     payload = {
@@ -140,7 +136,6 @@ def cmd_solve(args) -> int:
         "proof_of_optimality": result.proof_of_optimality,
     }
     outputs = _emit(_json_text(payload), args.out)
-    _write_manifest(args, vars_without(args, "func"), outputs, started)
     if not result.proof_of_optimality:
         print(
             f"node budget {args.budget} exhausted after {result.nodes_explored} nodes; "
@@ -148,15 +143,14 @@ def cmd_solve(args) -> int:
             else f"node budget {args.budget} exhausted with no tower set found",
             file=sys.stderr,
         )
-        return EXIT_BUDGET
-    return EXIT_OK
+        return EXIT_BUDGET, outputs
+    return EXIT_OK, outputs
 
 
 # ----------------------------------------------------------------- verify
 
 
-def cmd_verify(args) -> int:
-    started = time.monotonic()
+def cmd_verify(args) -> Outcome:
     towers = towers_from_json_dict(_load_json_file(args.file))
     check = is_broadcasting(towers, _params(args))
     if args.json:
@@ -171,23 +165,18 @@ def cmd_verify(args) -> int:
             f"FAIL vertex={check.deficient_vertex} "
             f"signal={check.signal} required={args.r}"
         )
-    outputs = _emit(text, args.out)
-    _write_manifest(args, vars_without(args, "func"), outputs, started)
-    return EXIT_OK if check.ok else EXIT_PROPERTY
+    return (EXIT_OK if check.ok else EXIT_PROPERTY), _emit(text, args.out)
 
 
 # -------------------------------------------------------------- construct
 
 
-def cmd_construct(args) -> int:
-    started = time.monotonic()
+def cmd_construct(args) -> Outcome:
     if args.family == "path":
         towers = construct_path_towers(args.n, args.k, args.t, args.r)
     else:
         towers = construct_cycle_towers(args.n, args.k, args.t, args.r)
-    outputs = _emit(_json_text(towers.to_json_dict()), args.out)
-    _write_manifest(args, vars_without(args, "func"), outputs, started)
-    return EXIT_OK
+    return EXIT_OK, _emit(_json_text(towers.to_json_dict()), args.out)
 
 
 # ---------------------------------------------------------------- lattice
@@ -204,21 +193,17 @@ def _lattice_config(args) -> LatticeConfig:
     return config_from_json_dict(_load_json_file(args.config))
 
 
-def cmd_lattice_density(args) -> int:
-    started = time.monotonic()
+def cmd_lattice_density(args) -> Outcome:
     config = _lattice_config(args)
     value = density(config)
     if args.json:
         text = _json_text({"density": str(value), "config": config.to_json_dict()})
     else:
         text = str(value)
-    outputs = _emit(text, args.out)
-    _write_manifest(args, vars_without(args, "func"), outputs, started)
-    return EXIT_OK
+    return EXIT_OK, _emit(text, args.out)
 
 
-def cmd_lattice_verify(args) -> int:
-    started = time.monotonic()
+def cmd_lattice_verify(args) -> Outcome:
     config = _lattice_config(args)
     check = verify_periodic(config, _params(args))
     if args.json:
@@ -231,13 +216,10 @@ def cmd_lattice_verify(args) -> int:
         text = "OK"
     else:
         text = f"FAIL cell={check.witness} signal={check.signal} required={args.r}"
-    outputs = _emit(text, args.out)
-    _write_manifest(args, vars_without(args, "func"), outputs, started)
-    return EXIT_OK if check.ok else EXIT_PROPERTY
+    return (EXIT_OK if check.ok else EXIT_PROPERTY), _emit(text, args.out)
 
 
-def cmd_lattice_excess(args) -> int:
-    started = time.monotonic()
+def cmd_lattice_excess(args) -> Outcome:
     config = _lattice_config(args)
     report = excess_report(config, _params(args))
     outputs = []
@@ -246,12 +228,10 @@ def cmd_lattice_excess(args) -> int:
             csv.writer(fh).writerows(report.csv_rows())
         outputs.append(args.csv)
     outputs += _emit(_json_text(report.to_json_dict()), args.out)
-    _write_manifest(args, vars_without(args, "func"), outputs, started)
-    return EXIT_OK
+    return EXIT_OK, outputs
 
 
-def cmd_lattice_window(args) -> int:
-    started = time.monotonic()
+def cmd_lattice_window(args) -> Outcome:
     config = _lattice_config(args)
     try:
         tx, ty = (int(c) for c in args.tower.split(","))
@@ -270,19 +250,17 @@ def cmd_lattice_window(args) -> int:
     else:
         text = str(value)
     outputs = _emit(text, args.out)
-    _write_manifest(args, vars_without(args, "func"), outputs, started)
     if not ok:
         print(
             f"window excess {value} below {threshold} at tower ({tx},{ty}) "
             f"orientation {args.orientation}: falsification finding",
             file=sys.stderr,
         )
-        return EXIT_PROPERTY
-    return EXIT_OK
+        return EXIT_PROPERTY, outputs
+    return EXIT_OK, outputs
 
 
-def cmd_lattice_promote(args) -> int:
-    started = time.monotonic()
+def cmd_lattice_promote(args) -> Outcome:
     config = _lattice_config(args)
     holds = promote_check(config, args.base_t, args.base_r, args.k)
     payload = {
@@ -292,7 +270,6 @@ def cmd_lattice_promote(args) -> int:
         "holds": holds,
     }
     outputs = _emit(_json_text(payload) if args.json else str(holds).lower(), args.out)
-    _write_manifest(args, vars_without(args, "func"), outputs, started)
     if not holds:
         print(
             f"promotion failed: ({args.base_t},{args.base_r}) configuration is not "
@@ -300,12 +277,11 @@ def cmd_lattice_promote(args) -> int:
             "falsification finding",
             file=sys.stderr,
         )
-        return EXIT_PROPERTY
-    return EXIT_OK
+        return EXIT_PROPERTY, outputs
+    return EXIT_OK, outputs
 
 
-def cmd_lattice_profile(args) -> int:
-    started = time.monotonic()
+def cmd_lattice_profile(args) -> Outcome:
     profile = promotion_excess_profile(args.t, args.k)
     outputs = _emit(_json_text(profile.to_json_dict()), args.out)
     if not profile.matches_claimed:
@@ -314,8 +290,7 @@ def cmd_lattice_profile(args) -> int:
             f"the claimed total {profile.claimed_total} (documented finding)",
             file=sys.stderr,
         )
-    _write_manifest(args, vars_without(args, "func"), outputs, started)
-    return EXIT_OK
+    return EXIT_OK, outputs
 
 
 # ------------------------------------------------------------------ sweep
@@ -344,8 +319,7 @@ def _sweep_instance(job: tuple[str, int, int, int, int, int]) -> list:
     ]
 
 
-def cmd_sweep(args) -> int:
-    started = time.monotonic()
+def cmd_sweep(args) -> Outcome:
     if args.threads < 1:
         raise InputError(f"--threads must be at least 1, got {args.threads}")
     threads = min(args.threads, os.cpu_count() or 1)
@@ -372,7 +346,6 @@ def cmd_sweep(args) -> int:
     )
     writer.writerows(rows)
     outputs = _emit(buffer.getvalue(), args.out)
-    _write_manifest(args, vars_without(args, "func"), outputs, started)
 
     incomplete = sum(1 for row in rows if row[6] == "")
     disagreements = sum(1 for row in rows if row[8] != "true")
@@ -382,8 +355,8 @@ def cmd_sweep(args) -> int:
         file=sys.stderr,
     )
     if incomplete:
-        return EXIT_BUDGET
-    return EXIT_PROPERTY if disagreements else EXIT_OK
+        return EXIT_BUDGET, outputs
+    return (EXIT_PROPERTY if disagreements else EXIT_OK), outputs
 
 
 # ----------------------------------------------------------------- parser
@@ -516,13 +489,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; write its manifest when --manifest is given.
+
+    The manifest is written on every path that reaches a command,
+    including bad input (exit 2), and records the parsed argv.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
+    started = time.monotonic()
+    outputs: list[str] = []
     try:
-        return args.func(args)
+        code, outputs = args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        code = EXIT_INPUT
+    _write_manifest(args, argv, outputs, started)
+    return code
 
 
 def console_main() -> None:

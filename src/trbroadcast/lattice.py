@@ -136,42 +136,41 @@ def fundamental_domain(config: LatticeConfig) -> list[Vec]:
     return [(x, y) for y in range(s) for x in range(p1)]
 
 
-def _towers_within(config: LatticeConfig, point: Vec, radius: int):
-    """Yield (tower, distance) for every tower within ell-1 radius of point.
+def _signal_field(
+    config: LatticeConfig, params: SignalParams
+) -> tuple[dict[Vec, int], dict[Vec, int]]:
+    """Raw and capped signal of every cell, keyed by its representative.
 
-    For each offset, the candidate translate coefficients are bracketed
-    by exact bounds derived from Cramer's rule, padded by two to absorb
-    the floors; over-scanning is harmless, missing a tower is not.
+    Stamps t - d and min(r, t - d) over the radius t - 1 diamond of each
+    tower offset and folds every stamped point onto its cell with
+    reduce_point; a diamond wider than the domain adds onto the same
+    cell once per translate it covers. Both dicts list the
+    representatives of fundamental_domain in its order. The cost is
+    offsets x (2t^2 - 2t + 1) stamps plus one entry per cell, whatever
+    the caller reads afterwards: there is no early exit.
     """
-    ax, ay = config.a
-    bx, by = config.b
-    det = config.det
-    nn = abs(det)
-    pad_m = (radius * max(abs(bx), abs(by))) // nn + 2
-    pad_n = (radius * max(abs(ax), abs(ay))) // nn + 2
-    px, py = point
+    t, r = params.t, params.r
+    raw = {reduce_point(config, cell): 0 for cell in fundamental_domain(config)}
+    capped = dict.fromkeys(raw, 0)
     for ox, oy in config.offsets:
-        qx, qy = px - ox, py - oy
-        m0 = (qx * by - qy * bx) // det
-        n0 = (ax * qy - ay * qx) // det
-        for m in range(m0 - pad_m, m0 + pad_m + 1):
-            for n in range(n0 - pad_n, n0 + pad_n + 1):
-                tx = m * ax + n * bx + ox
-                ty = m * ay + n * by + oy
-                d = abs(tx - px) + abs(ty - py)
-                if d <= radius:
-                    yield (tx, ty), d
+        for dy in range(1 - t, t):
+            reach = t - 1 - abs(dy)
+            for dx in range(-reach, reach + 1):
+                gain = t - abs(dx) - abs(dy)
+                rep = reduce_point(config, (ox + dx, oy + dy))
+                raw[rep] += gain
+                capped[rep] += min(r, gain)
+    return raw, capped
 
 
 def raw_signal_at(config: LatticeConfig, params: SignalParams, point: Vec) -> int:
-    """Uncapped signal sum at one cell."""
-    return sum(params.t - d for _, d in _towers_within(config, point, params.t - 1))
+    """Uncapped signal sum at one cell (builds the whole field)."""
+    return _signal_field(config, params)[0][reduce_point(config, point)]
 
 
 def capped_signal_at(config: LatticeConfig, params: SignalParams, point: Vec) -> int:
     """Signal sum at one cell with each tower's contribution clipped at r."""
-    t, r = params.t, params.r
-    return sum(min(r, t - d) for _, d in _towers_within(config, point, t - 1))
+    return _signal_field(config, params)[1][reduce_point(config, point)]
 
 
 def excess_at(config: LatticeConfig, params: SignalParams, point: Vec) -> int:
@@ -196,13 +195,14 @@ def verify_periodic(config: LatticeConfig, params: SignalParams) -> PeriodicChec
     """Certify that every grid cell collects raw signal at least r.
 
     Checking the finitely many coset representatives suffices: the
-    signal field is invariant under lattice translations.
+    signal field is invariant under lattice translations. The whole
+    field is stamped first (see _signal_field), so a failing cell early
+    in transversal order costs as much as a passing domain.
     """
-    t, r = params.t, params.r
-    for point in fundamental_domain(config):
-        raw = sum(t - d for _, d in _towers_within(config, point, t - 1))
-        if raw < r:
-            return PeriodicCheck(False, point, raw)
+    raw, _ = _signal_field(config, params)
+    for point, signal in zip(fundamental_domain(config), raw.values()):
+        if signal < params.r:
+            return PeriodicCheck(False, point, signal)
     return PeriodicCheck(True)
 
 
@@ -252,29 +252,17 @@ def excess_report(config: LatticeConfig, params: SignalParams) -> ExcessReport:
     fails to broadcast is still reported, flagged by the broadcasting
     field (its deficient cells carry negative excess).
     """
-    t, r = params.t, params.r
-    per_vertex: dict[Vec, tuple[int, int]] = {}
-    total = 0
-    broadcasting = True
-    for point in fundamental_domain(config):
-        raw = 0
-        capped = 0
-        for _, d in _towers_within(config, point, t - 1):
-            raw += t - d
-            capped += min(r, t - d)
-        if raw < r:
-            broadcasting = False
-        rep = reduce_point(config, point)
-        per_vertex[rep] = (capped, capped - r)
-        total += capped - r
+    r = params.r
+    raw, capped = _signal_field(config, params)
+    total = sum(capped.values()) - r * len(capped)
     return ExcessReport(
         params=params,
         period=axis_periods(config),
-        per_vertex=per_vertex,
+        per_vertex={rep: (c, c - r) for rep, c in capped.items()},
         total_excess=total,
         towers_per_domain=len(config.offsets),
         avg_excess_per_tower=Fraction(total, len(config.offsets)),
-        broadcasting=broadcasting,
+        broadcasting=min(raw.values()) >= r,
     )
 
 
@@ -285,7 +273,10 @@ def window_excess(
 
     Orientation E spans tower + [t-4, t+2] x [-4, 4]; N, W, S are the
     quarter turns of that rectangle about the tower. Needs t >= 5 so
-    the window sits cleanly ahead of the tower.
+    the window sits cleanly ahead of the tower. Builds the whole field
+    once and reads its 63 cells from it, so the cost grows with t^2
+    however small the window; cells congruent modulo the lattice each
+    count.
     """
     t = params.t
     if t < 5:
@@ -303,9 +294,12 @@ def window_excess(
         xs, ys = range(-t - 2, -t + 5), range(-4, 5)
     else:
         xs, ys = range(-4, 5), range(-t - 2, -t + 5)
+    _, capped = _signal_field(config, params)
     tx, ty = tower
     return sum(
-        excess_at(config, params, (tx + dx, ty + dy)) for dx in xs for dy in ys
+        capped[reduce_point(config, (tx + dx, ty + dy))] - params.r
+        for dx in xs
+        for dy in ys
     )
 
 

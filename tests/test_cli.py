@@ -326,21 +326,30 @@ def test_cycle_sweep_clean_on_default_small_range():
 def test_manifest_written_only_when_asked(tmp_path):
     manifest = tmp_path / "run.json"
     out_file = tmp_path / "gamma.txt"
-    code, _, _ = run(["formula", "path", "-n", "10", "-k", "1", "-t", "3",
-                      "-r", "2", "--out", str(out_file),
-                      "--manifest", str(manifest)])
+    argv = ["formula", "path", "-n", "10", "-k", "1", "-t", "3", "-r", "2",
+            "--out", str(out_file)]
+    code, _, _ = run(argv + ["--manifest", str(manifest)])
     assert code == 0
     assert out_file.read_text().strip() == "3"
     data = json.loads(manifest.read_text())
+    assert data["argv"] == argv + ["--manifest", str(manifest)]
     assert data["command"] == "formula"
     assert data["outputs"] == [str(out_file)]
     assert data["inputs"]["n"] == 10
     assert "timing_seconds" in data and "version" in data
 
-    code, _, _ = run(["formula", "path", "-n", "10", "-k", "1", "-t", "3",
-                      "-r", "2", "--out", str(out_file)])
+    # bad input (exit 2) still leaves a manifest, with no outputs
+    bad = ["formula", "path", "-n", "0", "-k", "1", "-t", "3", "-r", "2",
+           "--manifest", str(manifest)]
+    code, out, _ = run(bad)
+    assert code == 2 and out == ""
+    data = json.loads(manifest.read_text())
+    assert data["argv"] == bad and data["outputs"] == []
+
+    manifest.unlink()
+    code, _, _ = run(argv)
     assert code == 0  # no --manifest, no file
-    assert not (tmp_path / "other.json").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gamma.txt"]
 
 
 # ------------------------------------------------------- console script

@@ -32,7 +32,6 @@ from trbroadcast import (
     verify_periodic,
     window_excess,
 )
-from trbroadcast.lattice import _towers_within
 
 
 def small_bases():
@@ -173,13 +172,6 @@ def test_underpowered_tiling_fails_with_witness():
     assert raw_signal_at(t3_tiling(5), SignalParams(4, 3), (2, 0)) == 2
 
 
-def test_perfect_cover_hears_exactly_one_tower():
-    for t in (2, 3, 5, 8):
-        config = t1_tiling(t)
-        for pt in fundamental_domain(config):
-            assert len(list(_towers_within(config, pt, t - 1))) == 1
-
-
 # ------------------------------------------------------------ excess math
 
 
@@ -211,10 +203,15 @@ def test_total_excess_is_four_across_the_strength_range():
 
 
 def test_perfect_tiling_has_zero_excess():
-    report = excess_report(t1_tiling(5), SignalParams(5, 1))
-    assert report.broadcasting
-    assert report.total_excess == 0
-    assert all(v == (1, 0) for v in report.per_vertex.values())
+    # At r = 1 each tower within t - 1 caps to exactly 1, so capped
+    # signal 1 everywhere means every cell hears exactly one tower.
+    for t in (2, 3, 5, 8):
+        config = t1_tiling(t)
+        report = excess_report(config, SignalParams(t, 1))
+        assert report.broadcasting
+        assert report.total_excess == 0
+        assert len(report.per_vertex) == config.index
+        assert all(v == (1, 0) for v in report.per_vertex.values())
 
 
 def test_excess_report_serialization():
@@ -381,22 +378,63 @@ def test_excess_report_agrees_with_torus_audit(config, params):
 
 
 def test_verify_periodic_agrees_with_torus_on_random_configs():
+    """verify_periodic against per-vertex torus audits on random configs.
+
+    Configs carry 1 to 4 offsets; about half use a strength whose radius
+    t - 1 exceeds both axis periods, so one diamond wraps the domain
+    several times. The demand sits at the torus minimum plus -1, 0 or 1,
+    so both verdicts occur, and a FAIL must name the first deficient
+    cell in transversal order with its torus raw signal. The excess
+    report must match the torus capped signal cell by cell.
+    """
     rng = random.Random(7)
-    checked = 0
-    while checked < 60:
-        t = rng.randint(2, 6)
-        r = rng.randint(1, t)
-        a = (rng.randint(1, 6), rng.randint(-6, 6))
-        b = (rng.randint(-6, 6), rng.randint(1, 6))
+    checked = multi = wide = fails = 0
+    while checked < 80:
+        wrap = rng.random() < 0.5
+        span = 3 if wrap else 6
+        a = (rng.randint(1, span), rng.randint(-span, span))
+        b = (rng.randint(-span, span), rng.randint(1, span))
+        index = abs(a[0] * b[1] - a[1] * b[0])
+        if not 0 < index <= 60:
+            continue
+        offsets = tuple(
+            (rng.randint(-9, 9), rng.randint(-9, 9))
+            for _ in range(rng.randint(1, min(4, index)))
+        )
         try:
-            config = LatticeConfig(a, b)
+            config = LatticeConfig(a, b, offsets)
         except InputError:
             continue
-        if config.index > 60:
+        longest = max(axis_periods(config))
+        if wrap and longest <= 8:
+            t = longest + rng.randint(2, 5)
+        else:
+            t = rng.randint(2, 6)
+        spec, towers = embed_on_torus(config, SignalParams(t, 1))
+        if spec.num_vertices > 2500:
             continue
-        params = SignalParams(t, r)
-        spec, towers = embed_on_torus(config, params)
-        if spec.num_vertices > 1600:
-            continue
-        assert verify_periodic(config, params).ok == is_broadcasting(towers, params).ok
+        domain = fundamental_domain(config)
+        reference = [
+            audit_vertex(towers, SignalParams(t, 1), y * spec.cols + x).raw_signal
+            for x, y in domain
+        ]
+        params = SignalParams(t, max(1, min(reference) + rng.randint(-1, 1)))
+        check = verify_periodic(config, params)
+        assert check.ok == is_broadcasting(towers, params).ok
+        deficient = [i for i, raw in enumerate(reference) if raw < params.r]
+        if deficient:
+            assert (check.witness, check.signal) == (domain[deficient[0]],
+                                                     reference[deficient[0]])
+        else:
+            assert check.ok and check.witness is None
+        report = excess_report(config, params)
+        assert report.broadcasting == check.ok
+        for x, y in domain:
+            audit = audit_vertex(towers, params, y * spec.cols + x)
+            assert report.per_vertex[reduce_point(config, (x, y))] == (
+                audit.capped_signal, audit.excess)
         checked += 1
+        multi += len(offsets) > 1
+        wide += t - 1 > longest
+        fails += not check.ok
+    assert multi >= 20 and wide >= 20 and 10 <= fails <= 70
