@@ -172,6 +172,22 @@ def test_underpowered_tiling_fails_with_witness():
     assert raw_signal_at(t3_tiling(5), SignalParams(4, 3), (2, 0)) == 2
 
 
+def test_perfect_cover_hears_exactly_one_tower():
+    # Counts tower positions in each diamond directly: a point is a tower
+    # when it reduces to the same cell as one of the offsets.
+    for t in (2, 3, 5, 8):
+        config = t1_tiling(t)
+        tower_cells = {reduce_point(config, o) for o in config.offsets}
+        for px, py in fundamental_domain(config):
+            heard = [
+                (px + dx, py + dy)
+                for dy in range(1 - t, t)
+                for dx in range(abs(dy) - t + 1, t - abs(dy))
+                if reduce_point(config, (px + dx, py + dy)) in tower_cells
+            ]
+            assert len(heard) == 1
+
+
 # ------------------------------------------------------------ excess math
 
 
