@@ -183,12 +183,10 @@ def cmd_construct(args) -> Outcome:
 
 
 def _lattice_config(args) -> LatticeConfig:
-    chosen = [name for name in ("t1", "t3", "config") if getattr(args, name, None)]
-    if len(chosen) != 1:
-        raise InputError("choose exactly one of --t1 T, --t3 T, --config FILE")
-    if args.t1:
+    # argparse's required mutually exclusive group admits exactly one source
+    if args.t1 is not None:
         return t1_tiling(args.t1)
-    if args.t3:
+    if args.t3 is not None:
         return t3_tiling(args.t3)
     return config_from_json_dict(_load_json_file(args.config))
 

@@ -50,15 +50,6 @@ def gamma_path_power(n: int, k: int, t: int, r: int) -> int:
     return _ceil_div(n + k * (r - 1), 2 * k * t - k * (r + 1) + 1)
 
 
-def path_lower_bound(n: int, k: int, t: int, r: int) -> int:
-    """Demand-over-capacity count: total demand nr plus the kr(r-1)
-    end slack, divided by one tower's usable cap. Algebraically equal
-    to gamma_path_power, caveat included."""
-    _validate(n, k, t, r)
-    cap = ((2 * t - r - 1) * k + 1) * r
-    return _ceil_div(n * r + k * r * (r - 1), cap)
-
-
 def gamma_cycle_power(n: int, k: int, t: int, r: int) -> int:
     """Minimum towers for the k-th power of the n-vertex cycle.
 

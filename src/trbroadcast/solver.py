@@ -6,10 +6,18 @@ within t - 1 of it, taken in index order, which makes runs fully
 deterministic. Pruning compares the incumbent against the remaining
 capped demand divided by one tower's best possible usable supply.
 
-Set-up builds the cover and serve tables from one radius t - 1 kernel
-call (`graphs.near`) per vertex, so it costs V x |ball| entries rather
-than V^2 distance calls. The final witness audit (`is_broadcasting`)
-stamps towers x |ball| entries and has no early exit.
+The search is one loop over an explicit stack: `towers` holds the
+towers on the current branch and `frames` the branch vertex and next
+candidate index at each depth, so depth is not limited by recursion.
+Placing or removing a tower walks its `cover` list, updating the raw
+signals and the remaining capped demand in place.
+
+Set-up builds one table, `cover`, from one radius t - 1 kernel call
+(`graphs.near`) per vertex, so it costs V x |ball| entries rather than
+V^2 distance calls. Distance is symmetric, so a vertex's list names
+both the vertices its tower serves and its own candidate towers. The
+final witness audit (`is_broadcasting`) stamps towers x |ball| entries
+and has no early exit.
 """
 
 from __future__ import annotations
@@ -17,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .graphs import Family, GraphSpec, near
-from .signal import SignalParams, TowerSet, is_broadcasting, usable_cap_1d, usable_cap_2d
+from .graphs import GraphSpec, near
+from .signal import SignalParams, TowerSet, is_broadcasting
 
 DEFAULT_NODE_BUDGET = 2_000_000
 
@@ -39,18 +47,6 @@ class SolveResult:
     proof_of_optimality: bool
 
 
-def _tower_cap(spec: GraphSpec, params: SignalParams, supplies: list[int]) -> int:
-    # Best capped supply any single tower could deliver: the family-level
-    # cap clipped by the best actually attainable on this finite graph.
-    cap = max(supplies)
-    if params.t >= params.r:
-        if spec.family in (Family.PATH, Family.CYCLE):
-            cap = min(cap, usable_cap_1d(params, spec.k))
-        else:
-            cap = min(cap, usable_cap_2d(params))
-    return cap
-
-
 def solve(spec: GraphSpec, params: SignalParams, node_budget: int = DEFAULT_NODE_BUDGET) -> SolveResult:
     """Exact minimum tower count with a certifying witness.
 
@@ -62,18 +58,11 @@ def solve(spec: GraphSpec, params: SignalParams, node_budget: int = DEFAULT_NODE
         raise InputError(f"node budget must be positive, got {node_budget}")
     t, r = params.t, params.r
     nv = spec.num_vertices
-    reach = t - 1
 
-    # cover[u]: (vertex, gain) for every vertex u's tower would serve.
-    # serve[v]: candidate towers that would raise v's signal.
-    cover: list[list[tuple[int, int]]] = []
-    serve: list[list[int]] = []
-    for v in range(nv):
-        pairs = near(spec, v, reach)
-        serve.append([u for u, _ in pairs])
-        cover.append([(u, t - d) for u, d in pairs])
-    supplies = [sum(min(r, g) for _, g in cover[u]) for u in range(nv)]
-    cap = _tower_cap(spec, params, supplies)
+    # cover[u]: (vertex, gain) for every vertex a tower at u would serve,
+    # which are also the candidate towers that would raise u's signal.
+    cover = [[(u, t - d) for u, d in near(spec, v, t - 1)] for v in range(nv)]
+    cap = max(sum(min(r, g) for _, g in pairs) for pairs in cover)
 
     if t < r:
         for v in range(nv):
@@ -84,67 +73,69 @@ def solve(spec: GraphSpec, params: SignalParams, node_budget: int = DEFAULT_NODE
 
     raw = [0] * nv
     in_set = bytearray(nv)
-    stack: list[int] = []
-    state = {
-        "deficit": nv * r,
-        "nodes": 0,
-        "exhausted": False,
-        "best_size": nv + 1,
-        "best": None,
-    }
-
-    def place(u: int, sign: int) -> None:
-        deficit = state["deficit"]
-        for v, g in cover[u]:
-            before = raw[v]
-            after = before + sign * g
-            raw[v] = after
-            if sign > 0:
-                deficit -= min(g, max(0, r - before))
-            else:
-                deficit += min(g, max(0, r - after))
-        state["deficit"] = deficit
-
-    def dfs(lo: int) -> None:
-        state["nodes"] += 1
-        if state["nodes"] > node_budget:
-            state["exhausted"] = True
-            return
-        deficit = state["deficit"]
+    deficit = nv * r
+    towers: list[int] = []
+    # frames[d]: [branch vertex, next index into its cover list] at depth d.
+    frames: list[list[int]] = []
+    nodes = 0
+    exhausted = False
+    best: list[int] | None = None
+    best_size = nv + 1
+    lo = 0
+    while True:
+        nodes += 1
+        if nodes > node_budget:
+            exhausted = True
+            break
         if deficit == 0:
-            state["best_size"] = len(stack)
-            state["best"] = stack.copy()
-            return
-        bound = len(stack) + -(-deficit // cap)
-        if bound >= state["best_size"]:
-            return
-        v = lo
-        while raw[v] >= r:
-            v += 1
-        # Any completion must add a tower within reach of v; signal only
-        # grows along a branch, so the scan never needs to back up.
-        for u in serve[v]:
-            if in_set[u]:
-                continue
-            in_set[u] = 1
-            stack.append(u)
-            place(u, 1)
-            dfs(v)
-            place(u, -1)
-            stack.pop()
-            in_set[u] = 0
-            if state["exhausted"]:
-                return
+            best_size = len(towers)
+            best = towers.copy()
+        elif len(towers) + -(-deficit // cap) < best_size:
+            # Any completion must add a tower within reach of the first
+            # deficient vertex; signal only grows along a branch, so the
+            # scan never needs to back up past lo.
+            v = lo
+            while raw[v] >= r:
+                v += 1
+            frames.append([v, 0])
+        # Backtrack to the deepest frame with an untried candidate and
+        # place it; the node it opens is the next loop iteration.
+        while frames:
+            frame = frames[-1]
+            if len(towers) == len(frames):
+                u = towers.pop()
+                in_set[u] = 0
+                for w, g in cover[u]:
+                    after = raw[w] - g
+                    raw[w] = after
+                    if after < r:
+                        deficit += min(g, r - after)
+            v, i = frame
+            candidates = cover[v]
+            while i < len(candidates) and in_set[candidates[i][0]]:
+                i += 1
+            if i < len(candidates):
+                u = candidates[i][0]
+                frame[1] = i + 1
+                in_set[u] = 1
+                towers.append(u)
+                for w, g in cover[u]:
+                    before = raw[w]
+                    raw[w] = before + g
+                    if before < r:
+                        deficit -= min(g, r - before)
+                lo = v
+                break
+            frames.pop()
+        if not frames:
+            break
 
-    dfs(0)
-
-    best = state["best"]
     witness = TowerSet(spec, tuple(sorted(best))) if best is not None else None
     return SolveResult(
         gamma=len(best) if best is not None else None,
         witness=witness,
-        nodes_explored=state["nodes"],
-        proof_of_optimality=not state["exhausted"],
+        nodes_explored=nodes,
+        proof_of_optimality=not exhausted,
     )
 
 

@@ -88,6 +88,16 @@ def test_solve_budget_exhaustion_exits_3():
     assert "exhausted" in err
 
 
+def test_solve_deep_path_runs_without_recursion():
+    # one tower per vertex: the search goes 1200 towers deep
+    code, out, _ = run(["solve", "path:n=1200,k=1", "-t", "1", "-r", "1"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["gamma"] == 1200
+    assert payload["proof_of_optimality"] is True
+    assert payload["nodes_explored"] == 1201
+
+
 def test_solve_rejects_bad_spec():
     code, _, err = run(["solve", "path:n=, k=1", "-t", "2", "-r", "1"])
     assert code == 2
@@ -145,6 +155,13 @@ def test_lattice_density_outputs_exact_rational():
     assert (code, out.strip()) == (0, "1/41")
     code, out, _ = run(["lattice", "density", "--t3", "5"])
     assert (code, out.strip()) == (0, "1/25")
+
+
+def test_lattice_source_value_zero_is_checked_not_ignored():
+    for flag, floor in (("--t1", 2), ("--t3", 3)):
+        code, _, err = run(["lattice", "density", flag, "0"])
+        assert code == 2
+        assert f"need t >= {floor}" in err
 
 
 def test_lattice_density_from_config_file(tmp_path):

@@ -15,7 +15,7 @@ from trbroadcast import (
     gamma_cycle_power,
     gamma_path_power,
     is_broadcasting,
-    path_lower_bound,
+    usable_cap_1d,
 )
 
 
@@ -38,11 +38,14 @@ def test_path_formula_k1_reduction():
 
 
 def test_lower_bound_is_tight():
+    # demand nr plus the kr(r-1) end slack, over one tower's usable cap
     for n in range(1, 19):
         for k in range(1, 4):
             for t in range(1, 5):
                 for r in range(1, t + 1):
-                    assert path_lower_bound(n, k, t, r) == gamma_path_power(n, k, t, r)
+                    cap = usable_cap_1d(SignalParams(t, r), k)
+                    bound = -(-(n * r + k * r * (r - 1)) // cap)
+                    assert bound == gamma_path_power(n, k, t, r)
 
 
 def test_cycle_formula_cases():

@@ -111,8 +111,21 @@ def test_usable_cap_1d_examples():
         usable_cap_1d(SignalParams(3, 2), 0)
 
 
+def max_capped_supply(spec, t_max):
+    """Largest capped supply of one tower on spec, for each t <= t_max and
+    r <= t, summed per pair through distance()."""
+    nv = spec.num_vertices
+    rows = [[distance(spec, u, v) for v in range(nv)] for u in range(nv)]
+    return {
+        (t, r): max(sum(min(r, max(0, t - d)) for d in row) for row in rows)
+        for t in range(1, t_max + 1)
+        for r in range(1, t + 1)
+    }
+
+
 def test_usable_cap_1d_matches_brute_force_center_tower():
-    """A central tower on a long path realizes the 1d cap exactly."""
+    """A central tower on a long path realizes the 1d cap exactly, and no
+    tower on a finite path or cycle power supplies more."""
     for k in range(1, 4):
         for t in range(1, 7):
             for r in range(1, t + 1):
@@ -123,6 +136,11 @@ def test_usable_cap_1d_matches_brute_force_center_tower():
                     for v in range(spec.num_vertices)
                 )
                 assert got == usable_cap_1d(SignalParams(t, r), k)
+    for k in range(1, 4):
+        for n in range(1, 15):
+            for spec in (GraphSpec.path_power(n, k), GraphSpec.cycle_power(n, k)):
+                for (t, r), supply in max_capped_supply(spec, 5).items():
+                    assert supply <= usable_cap_1d(SignalParams(t, r), k), (spec, t, r)
 
 
 def test_usable_cap_2d_examples_and_identity():
@@ -144,6 +162,12 @@ def test_usable_cap_2d_matches_double_sum():
                 for dy in range(-t, t + 1)
             )
             assert usable_cap_2d(SignalParams(t, r)) == brute
+    # no tower on a finite grid or torus supplies more than the infinite grid
+    for rows in range(1, 7):
+        for cols in range(1, 7):
+            for spec in (GraphSpec.grid(rows, cols), GraphSpec.torus(rows, cols)):
+                for (t, r), supply in max_capped_supply(spec, 6).items():
+                    assert supply <= usable_cap_2d(SignalParams(t, r)), (spec, t, r)
 
 
 def test_total_demand():

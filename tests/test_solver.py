@@ -115,6 +115,13 @@ def test_budget_exhaustion_is_explicit():
     assert result.witness is None
     assert result.nodes_explored == 4
     assert not verify_witness(result, GraphSpec.path_power(18, 1), SignalParams(2, 1))
+    # a cut after the first incumbent keeps it, as an unproved upper bound
+    result = solve(GraphSpec.path_power(18, 1), SignalParams(2, 1), node_budget=20)
+    assert not result.proof_of_optimality
+    assert result.gamma == 16
+    assert result.witness.vertices == (*range(15), 16)
+    assert result.nodes_explored == 21
+    assert is_broadcasting(result.witness, SignalParams(2, 1)).ok
     with pytest.raises(InputError):
         solve(GraphSpec.path_power(5, 1), SignalParams(2, 1), node_budget=0)
 
