@@ -33,7 +33,6 @@ from .lattice import (
     PeriodicCheck,
     PromotionProfile,
     axis_periods,
-    capped_signal_at,
     centered_t1_frame,
     config_from_json_dict,
     density,
@@ -42,7 +41,6 @@ from .lattice import (
     fundamental_domain,
     promote_check,
     promotion_excess_profile,
-    raw_signal_at,
     reduce_point,
     t1_tiling,
     t3_tiling,
@@ -56,8 +54,6 @@ from .signal import (
     VertexAudit,
     audit_vertex,
     is_broadcasting,
-    total_demand,
-    tower_signal,
     towers_from_json_dict,
     usable_cap_1d,
     usable_cap_2d,
@@ -86,7 +82,6 @@ __all__ = [
     "ball",
     "bfs_distance",
     "bfs_distances_from",
-    "capped_signal_at",
     "centered_t1_frame",
     "config_from_json_dict",
     "construct_cycle_towers",
@@ -105,13 +100,10 @@ __all__ = [
     "parse_graph_spec",
     "promote_check",
     "promotion_excess_profile",
-    "raw_signal_at",
     "reduce_point",
     "solve",
     "t1_tiling",
     "t3_tiling",
-    "total_demand",
-    "tower_signal",
     "towers_from_json_dict",
     "usable_cap_1d",
     "usable_cap_2d",

@@ -7,9 +7,11 @@ fractions. Verifying one full set of coset representatives certifies
 the entire grid by periodicity.
 
 Geometry conventions: distance is the Manhattan (ell-1) metric, and a
-tower at u delivers max(0, t - |u - v|_1) to the cell v. The raw sum
-decides broadcasting; sums capped at r per tower drive the excess
-accounting.
+tower at u delivers max(0, t - |u - v|_1) to the cell v. One field of
+sums capped at r per tower serves every audit. It drives the excess
+accounting and also decides broadcasting: a cell whose raw sum is below
+r hears every tower below r, so no cap applies there and its capped sum
+is its raw sum.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from .signal import SignalParams
 
 Vec = tuple[int, int]
 
-# Window orientations: x-range and y-range of the audited rectangle,
-# relative to the tower. N/W/S are the successive quarter turns of E.
-_WINDOW_FRAMES = ("E", "N", "W", "S")
+# Window orientations: the unit step u from the tower towards its window.
+# N/W/S are the successive quarter turns of E.
+_WINDOW_FRAMES = {"E": (1, 0), "N": (0, 1), "W": (-1, 0), "S": (0, -1)}
 
 
 @dataclass(frozen=True)
@@ -44,7 +46,7 @@ class LatticeConfig:
 
     def __post_init__(self) -> None:
         for name, vec in (("a", self.a), ("b", self.b)):
-            if len(vec) != 2 or not all(isinstance(c, int) for c in vec):
+            if len(vec) != 2 or not all(type(c) is int for c in vec):
                 raise InputError(f"basis vector {name} must be an integer pair")
         if self.det == 0:
             raise InputError("basis vectors must be linearly independent")
@@ -52,7 +54,7 @@ class LatticeConfig:
             raise InputError("need at least one tower offset")
         seen = set()
         for o in self.offsets:
-            if len(o) != 2 or not all(isinstance(c, int) for c in o):
+            if len(o) != 2 or not all(type(c) is int for c in o):
                 raise InputError("offsets must be integer pairs")
             rep = reduce_point(self, o)
             if rep in seen:
@@ -81,10 +83,10 @@ def config_from_json_dict(data: dict) -> LatticeConfig:
     if not isinstance(data, dict):
         raise InputError("lattice config must be a JSON object")
     try:
-        a = tuple(int(c) for c in data["a"])
-        b = tuple(int(c) for c in data["b"])
-        offsets = tuple(tuple(int(c) for c in o) for o in data["offsets"])
-    except (KeyError, TypeError, ValueError):
+        a = tuple(data["a"])
+        b = tuple(data["b"])
+        offsets = tuple(tuple(o) for o in data["offsets"])
+    except (KeyError, TypeError):
         raise InputError("lattice config needs integer keys 'a', 'b', 'offsets'") from None
     if len(a) != 2 or len(b) != 2 or any(len(o) != 2 for o in offsets):
         raise InputError("lattice vectors and offsets must be coordinate pairs")
@@ -136,46 +138,32 @@ def fundamental_domain(config: LatticeConfig) -> list[Vec]:
     return [(x, y) for y in range(s) for x in range(p1)]
 
 
-def _signal_field(
-    config: LatticeConfig, params: SignalParams
-) -> tuple[dict[Vec, int], dict[Vec, int]]:
-    """Raw and capped signal of every cell, keyed by its representative.
+def _signal_field(config: LatticeConfig, params: SignalParams) -> dict[Vec, int]:
+    """Capped signal of every cell, keyed by its representative.
 
-    Stamps t - d and min(r, t - d) over the radius t - 1 diamond of each
-    tower offset and folds every stamped point onto its cell with
+    Stamps min(r, t - d) over the radius t - 1 diamond of each tower
+    offset and folds every stamped point onto its cell with
     reduce_point; a diamond wider than the domain adds onto the same
-    cell once per translate it covers. Both dicts list the
-    representatives of fundamental_domain in its order. The cost is
-    offsets x (2t^2 - 2t + 1) stamps plus one entry per cell, whatever
-    the caller reads afterwards: there is no early exit.
+    cell once per translate it covers. The dict lists the
+    representatives of fundamental_domain in its order. It decides
+    broadcasting as well as excess: a value below r is the cell's raw
+    sum, and a value of at least r means the raw sum is too. The cost
+    is offsets x (2t^2 - 2t + 1) stamps plus one entry per cell,
+    whatever the caller reads afterwards: there is no early exit.
     """
     t, r = params.t, params.r
-    raw = {reduce_point(config, cell): 0 for cell in fundamental_domain(config)}
-    capped = dict.fromkeys(raw, 0)
+    capped = {reduce_point(config, cell): 0 for cell in fundamental_domain(config)}
     for ox, oy in config.offsets:
         for dy in range(1 - t, t):
             reach = t - 1 - abs(dy)
             for dx in range(-reach, reach + 1):
-                gain = t - abs(dx) - abs(dy)
-                rep = reduce_point(config, (ox + dx, oy + dy))
-                raw[rep] += gain
-                capped[rep] += min(r, gain)
-    return raw, capped
-
-
-def raw_signal_at(config: LatticeConfig, params: SignalParams, point: Vec) -> int:
-    """Uncapped signal sum at one cell (builds the whole field)."""
-    return _signal_field(config, params)[0][reduce_point(config, point)]
-
-
-def capped_signal_at(config: LatticeConfig, params: SignalParams, point: Vec) -> int:
-    """Signal sum at one cell with each tower's contribution clipped at r."""
-    return _signal_field(config, params)[1][reduce_point(config, point)]
+                capped[reduce_point(config, (ox + dx, oy + dy))] += min(r, t - abs(dx) - abs(dy))
+    return capped
 
 
 def excess_at(config: LatticeConfig, params: SignalParams, point: Vec) -> int:
     """Capped signal minus demand at one cell (negative when deficient)."""
-    return capped_signal_at(config, params, point) - params.r
+    return _signal_field(config, params)[reduce_point(config, point)] - params.r
 
 
 @dataclass(frozen=True)
@@ -183,7 +171,7 @@ class PeriodicCheck:
     """Outcome of a periodic broadcast verification.
 
     A failing check carries the first deficient representative (in
-    transversal order) and its raw signal.
+    transversal order) and its signal, raw and capped alike below r.
     """
 
     ok: bool
@@ -195,12 +183,14 @@ def verify_periodic(config: LatticeConfig, params: SignalParams) -> PeriodicChec
     """Certify that every grid cell collects raw signal at least r.
 
     Checking the finitely many coset representatives suffices: the
-    signal field is invariant under lattice translations. The whole
-    field is stamped first (see _signal_field), so a failing cell early
-    in transversal order costs as much as a passing domain.
+    signal field is invariant under lattice translations. Reads the
+    capped field, which falls below r exactly where the raw sum does
+    and equals it there (see _signal_field). The whole field is stamped
+    first, so a failing cell early in transversal order costs as much
+    as a passing domain.
     """
-    raw, _ = _signal_field(config, params)
-    for point, signal in zip(fundamental_domain(config), raw.values()):
+    capped = _signal_field(config, params)
+    for point, signal in zip(fundamental_domain(config), capped.values()):
         if signal < params.r:
             return PeriodicCheck(False, point, signal)
     return PeriodicCheck(True)
@@ -253,7 +243,7 @@ def excess_report(config: LatticeConfig, params: SignalParams) -> ExcessReport:
     field (its deficient cells carry negative excess).
     """
     r = params.r
-    raw, capped = _signal_field(config, params)
+    capped = _signal_field(config, params)
     total = sum(capped.values()) - r * len(capped)
     return ExcessReport(
         params=params,
@@ -262,7 +252,7 @@ def excess_report(config: LatticeConfig, params: SignalParams) -> ExcessReport:
         total_excess=total,
         towers_per_domain=len(config.offsets),
         avg_excess_per_tower=Fraction(total, len(config.offsets)),
-        broadcasting=min(raw.values()) >= r,
+        broadcasting=min(capped.values()) >= r,
     )
 
 
@@ -272,34 +262,31 @@ def window_excess(
     """Excess summed over the 7x9 audit window beside one tower.
 
     Orientation E spans tower + [t-4, t+2] x [-4, 4]; N, W, S are the
-    quarter turns of that rectangle about the tower. Needs t >= 5 so
-    the window sits cleanly ahead of the tower. Builds the whole field
-    once and reads its 63 cells from it, so the cost grows with t^2
-    however small the window; cells congruent modulo the lattice each
-    count.
+    quarter turns of that rectangle about the tower, so each window
+    cell is tower + dx*u + dy*u' for (dx, dy) in the E rectangle, with
+    u the orientation's unit step and u' its quarter turn. Needs t >= 5
+    so the window sits cleanly ahead of the tower. Builds the one
+    capped field and reads its 63 cells from it, so the cost grows with
+    t^2 however small the window; cells congruent modulo the lattice
+    each count.
     """
     t = params.t
     if t < 5:
         raise InputError(f"window audit needs t >= 5, got t={t}")
     if orientation not in _WINDOW_FRAMES:
-        raise InputError(f"orientation must be one of {_WINDOW_FRAMES}, got {orientation!r}")
+        raise InputError(
+            f"orientation must be one of {tuple(_WINDOW_FRAMES)}, got {orientation!r}"
+        )
     offset_reps = {reduce_point(config, o) for o in config.offsets}
     if reduce_point(config, tower) not in offset_reps:
         raise InputError(f"{tower} is not a tower of this configuration")
-    if orientation == "E":
-        xs, ys = range(t - 4, t + 3), range(-4, 5)
-    elif orientation == "N":
-        xs, ys = range(-4, 5), range(t - 4, t + 3)
-    elif orientation == "W":
-        xs, ys = range(-t - 2, -t + 5), range(-4, 5)
-    else:
-        xs, ys = range(-4, 5), range(-t - 2, -t + 5)
-    _, capped = _signal_field(config, params)
+    ux, uy = _WINDOW_FRAMES[orientation]
+    capped = _signal_field(config, params)
     tx, ty = tower
     return sum(
-        capped[reduce_point(config, (tx + dx, ty + dy))] - params.r
-        for dx in xs
-        for dy in ys
+        capped[reduce_point(config, (tx + dx * ux - dy * uy, ty + dx * uy + dy * ux))] - params.r
+        for dx in range(t - 4, t + 3)
+        for dy in range(-4, 5)
     )
 
 

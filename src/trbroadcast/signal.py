@@ -37,6 +37,8 @@ class TowerSet:
         nv = self.spec.num_vertices
         prev = -1
         for v in self.vertices:
+            if type(v) is not int:
+                raise InputError(f"tower index {v!r} is not an integer")
             if not 0 <= v < nv:
                 raise InputError(f"tower index {v} out of range")
             if v <= prev:
@@ -57,8 +59,8 @@ def towers_from_json_dict(data: dict) -> TowerSet:
         raise InputError("tower file needs keys 'spec' and 'towers'")
     spec = parse_graph_spec(str(data["spec"]))
     try:
-        towers = tuple(int(v) for v in data["towers"])
-    except (TypeError, ValueError):
+        towers = tuple(data["towers"])
+    except TypeError:
         raise InputError("'towers' must be a list of integers") from None
     return TowerSet(spec, towers)
 
@@ -82,13 +84,6 @@ class BroadcastCheck:
     ok: bool
     deficient_vertex: int | None = None
     signal: int | None = None
-
-
-def tower_signal(params: SignalParams, d: int) -> int:
-    """Signal one tower delivers at graph distance d."""
-    if d < 0:
-        raise InputError(f"distance must be nonnegative, got {d}")
-    return max(0, params.t - d)
 
 
 def audit_vertex(towers: TowerSet, params: SignalParams, v: int) -> VertexAudit:
@@ -155,7 +150,3 @@ def usable_cap_2d(params: SignalParams) -> int:
         total += 4 * d * (t - d)
     return total
 
-
-def total_demand(spec: GraphSpec, params: SignalParams) -> int:
-    """Aggregate demand r * |V| of a finite graph."""
-    return params.r * spec.num_vertices

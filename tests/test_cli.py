@@ -136,6 +136,21 @@ def test_verify_missing_file_is_input_error(tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "tower,t",
+    [
+        (1.5, "2"),  # int() would truncate it to tower 1: FAIL vertex=3, exit 1
+        ("2", "3"),  # int() would read tower 2, which broadcasts: exit 0
+    ],
+)
+def test_verify_rejects_a_tower_index_that_is_not_an_integer(tmp_path, tower, t):
+    towers = tmp_path / "towers.json"
+    towers.write_text(json.dumps({"spec": "path:n=5,k=1", "towers": [tower]}))
+    code, out, err = run(["verify", str(towers), "-t", t, "-r", "1"])
+    assert (code, out) == (2, "")
+    assert "error:" in err
+
+
 def test_construct_then_verify(tmp_path):
     out_file = tmp_path / "towers.json"
     code, _, _ = run(["construct", "path", "-n", "10", "-k", "1", "-t", "3",
@@ -172,6 +187,15 @@ def test_lattice_density_from_config_file(tmp_path):
     cfg.write_text("{not json")
     code, _, err = run(["lattice", "density", "--config", str(cfg)])
     assert code == 2
+    assert "error:" in err
+
+
+def test_lattice_config_rejects_a_boolean_coordinate(tmp_path):
+    # int(True) would read the basis as (1, 0), (0, 1), which broadcasts (exit 0)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"a": [True, 0], "b": [0, 1], "offsets": [[0, 0]]}))
+    code, out, err = run(["lattice", "verify", "--config", str(cfg), "-t", "1", "-r", "1"])
+    assert (code, out) == (2, "")
     assert "error:" in err
 
 

@@ -15,7 +15,6 @@ from trbroadcast import (
     TowerSet,
     audit_vertex,
     axis_periods,
-    capped_signal_at,
     centered_t1_frame,
     config_from_json_dict,
     density,
@@ -25,7 +24,6 @@ from trbroadcast import (
     is_broadcasting,
     promote_check,
     promotion_excess_profile,
-    raw_signal_at,
     reduce_point,
     t1_tiling,
     t3_tiling,
@@ -169,7 +167,9 @@ def test_underpowered_tiling_fails_with_witness():
     assert check.witness == (2, 0)
     assert check.signal == 2
     # the witness really is deficient
-    assert raw_signal_at(t3_tiling(5), SignalParams(4, 3), (2, 0)) == 2
+    config = t3_tiling(5)
+    report = excess_report(config, SignalParams(4, 3))
+    assert report.per_vertex[reduce_point(config, check.witness)] == (2, -1)
 
 
 def test_perfect_cover_hears_exactly_one_tower():
@@ -206,8 +206,8 @@ def test_t3_excess_landscape_at_design_strength():
     assert positives == expected
     for v in positives:
         assert report.per_vertex[v] == (4, 1)
-    # spot values straight from the pointwise accessors
-    assert capped_signal_at(config, params, (3, 0)) == 4
+    # spot values from the report and the pointwise excess accessor
+    assert report.per_vertex[reduce_point(config, (3, 0))] == (4, 1)
     assert excess_at(config, params, (3, 0)) == 1
     assert excess_at(config, params, (0, 0)) == 0
 
@@ -381,6 +381,9 @@ def embed_on_torus(config, params):
         (t3_tiling(5), SignalParams(5, 3)),
         (t1_tiling(4), SignalParams(5, 3)),
         (t1_tiling(3), SignalParams(3, 1)),
+        # underpowered, so some cells fall below demand
+        (t3_tiling(5), SignalParams(4, 3)),
+        (t1_tiling(4), SignalParams(4, 2)),
     ],
 )
 def test_excess_report_agrees_with_torus_audit(config, params):
@@ -390,7 +393,12 @@ def test_excess_report_agrees_with_torus_audit(config, params):
         audit = audit_vertex(towers, params, y * spec.cols + x)
         rep = reduce_point(config, (x, y))
         assert report.per_vertex[rep] == (audit.capped_signal, audit.excess)
-        assert raw_signal_at(config, params, (x, y)) == audit.raw_signal
+        # below demand no tower is capped, so the capped field is the raw sum
+        if audit.raw_signal < params.r:
+            assert audit.capped_signal == audit.raw_signal
+        else:
+            assert audit.capped_signal >= params.r
+    assert report.broadcasting == is_broadcasting(towers, params).ok
 
 
 def test_verify_periodic_agrees_with_torus_on_random_configs():

@@ -13,22 +13,10 @@ from trbroadcast import (
     audit_vertex,
     distance,
     is_broadcasting,
-    total_demand,
-    tower_signal,
     towers_from_json_dict,
     usable_cap_1d,
     usable_cap_2d,
 )
-
-
-def test_tower_signal_decays_linearly():
-    params = SignalParams(5, 1)
-    assert tower_signal(params, 0) == 5
-    assert tower_signal(params, 2) == 3
-    assert tower_signal(params, 5) == 0
-    assert tower_signal(params, 99) == 0
-    with pytest.raises(InputError):
-        tower_signal(params, -1)
 
 
 def test_params_validation():
@@ -168,12 +156,6 @@ def test_usable_cap_2d_matches_double_sum():
             for spec in (GraphSpec.grid(rows, cols), GraphSpec.torus(rows, cols)):
                 for (t, r), supply in max_capped_supply(spec, 6).items():
                     assert supply <= usable_cap_2d(SignalParams(t, r)), (spec, t, r)
-
-
-def test_total_demand():
-    assert total_demand(GraphSpec.grid(3, 3), SignalParams(4, 3)) == 27
-    assert total_demand(GraphSpec.torus(41, 41), SignalParams(4, 3)) == 5043
-    assert total_demand(GraphSpec.path_power(7, 2), SignalParams(2, 1)) == 7
 
 
 @st.composite
