@@ -55,12 +55,19 @@ Outcome = tuple[int, list[str]]
 
 
 def _emit(text: str, out: str | None) -> list[str]:
-    """Write a payload to --out when given, else to stdout. Returns paths."""
+    """Write text to the file `out` when given, else to stdout. Returns paths.
+
+    Every file the CLI writes goes through here, so a path that cannot
+    be written is bad input (exit 2), not a crash.
+    """
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+                if not text.endswith("\n"):
+                    fh.write("\n")
+        except OSError as exc:
+            raise InputError(f"cannot write {out}: {exc}") from None
         return [out]
     sys.stdout.write(text)
     if not text.endswith("\n"):
@@ -70,6 +77,12 @@ def _emit(text: str, out: str | None) -> list[str]:
 
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def _csv_text(rows) -> str:
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows(rows)
+    return buffer.getvalue()
 
 
 def _write_manifest(args, argv: list[str], outputs: list[str], started: float) -> None:
@@ -83,9 +96,7 @@ def _write_manifest(args, argv: list[str], outputs: list[str], started: float) -
         "version": __version__,
         "timing_seconds": round(time.monotonic() - started, 6),
     }
-    with open(args.manifest, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _emit(_json_text(manifest), args.manifest)
 
 
 def _params(args) -> SignalParams:
@@ -220,11 +231,7 @@ def cmd_lattice_verify(args) -> Outcome:
 def cmd_lattice_excess(args) -> Outcome:
     config = _lattice_config(args)
     report = excess_report(config, _params(args))
-    outputs = []
-    if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows(report.csv_rows())
-        outputs.append(args.csv)
+    outputs = _emit(_csv_text(report.csv_rows()), args.csv) if args.csv else []
     outputs += _emit(_json_text(report.to_json_dict()), args.out)
     return EXIT_OK, outputs
 
@@ -336,14 +343,9 @@ def cmd_sweep(args) -> Outcome:
     else:
         rows = [_sweep_instance(job) for job in jobs]
 
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(
-        ["family", "n", "k", "t", "r", "formula_gamma", "solver_gamma",
-         "construction_size", "agree"]
-    )
-    writer.writerows(rows)
-    outputs = _emit(buffer.getvalue(), args.out)
+    header = ["family", "n", "k", "t", "r", "formula_gamma", "solver_gamma",
+              "construction_size", "agree"]
+    outputs = _emit(_csv_text([header, *rows]), args.out)
 
     incomplete = sum(1 for row in rows if row[6] == "")
     disagreements = sum(1 for row in rows if row[8] != "true")
@@ -490,7 +492,8 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command; write its manifest when --manifest is given.
 
     The manifest is written on every path that reaches a command,
-    including bad input (exit 2), and records the parsed argv.
+    including bad input (exit 2), and records the parsed argv. A
+    manifest path that cannot be written is itself bad input.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
@@ -501,7 +504,11 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_INPUT
-    _write_manifest(args, argv, outputs, started)
+    try:
+        _write_manifest(args, argv, outputs, started)
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = EXIT_INPUT
     return code
 
 

@@ -1,24 +1,21 @@
 """Closed forms and explicit constructions for path and cycle powers.
 
 The builders return certified tower sets of exactly the closed-form
-size. Every construction is audited before it is returned, and the one
-known rough edge of the path tail rule is repaired on the spot (and
-logged) when the audit catches it.
+size: each computes its tower list once, and one shared audit checks
+the size and the broadcasting property before the set is returned.
 
 The cycle count is exact everywhere we have tested. The path count is
 exact except on a handful of instances with r = t and k >= 2, where it
-overshoots the true minimum by one; see gamma_path_power.
+overshoots the true minimum by one; see gamma_path_power. The path
+builder's tail rule is the stated one corrected at its upper edge; see
+construct_path_towers.
 """
 
 from __future__ import annotations
 
-import logging
-
 from .errors import InputError
 from .graphs import GraphSpec
 from .signal import SignalParams, TowerSet, is_broadcasting
-
-log = logging.getLogger(__name__)
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -36,6 +33,22 @@ def _validate(n: int, k: int, t: int, r: int) -> None:
         raise InputError(f"need t >= r, got t={t}, r={r}")
 
 
+def _period(k: int, t: int, r: int) -> int:
+    """Vertices one tower serves in a periodic run: (2t - r - 1)k + 1."""
+    return (2 * t - r - 1) * k + 1
+
+
+def _certified(spec: GraphSpec, towers: list[int], want: int, t: int, r: int) -> TowerSet:
+    """The tower set, once it has the closed-form size and broadcasts."""
+    result = TowerSet(spec, tuple(towers))
+    if len(result.vertices) != want or not is_broadcasting(result, SignalParams(t, r)).ok:
+        raise RuntimeError(
+            f"{spec.family.value} construction failed its audit "
+            f"for n={spec.n} k={spec.k} t={t} r={r}"
+        )
+    return result
+
+
 def gamma_path_power(n: int, k: int, t: int, r: int) -> int:
     """Closed-form tower count for the k-th power of the n-vertex path.
 
@@ -47,7 +60,7 @@ def gamma_path_power(n: int, k: int, t: int, r: int) -> int:
     command reports every disagreement.
     """
     _validate(n, k, t, r)
-    return _ceil_div(n + k * (r - 1), 2 * k * t - k * (r + 1) + 1)
+    return _ceil_div(n + k * (r - 1), _period(k, t, r))
 
 
 def gamma_cycle_power(n: int, k: int, t: int, r: int) -> int:
@@ -60,7 +73,7 @@ def gamma_cycle_power(n: int, k: int, t: int, r: int) -> int:
     _validate(n, k, t, r)
     if n <= 2 * (t - r) * k + 1:
         return 1
-    period = (2 * t - r - 1) * k + 1
+    period = _period(k, t, r)
     if n <= period:
         return 2
     return _ceil_div(n, period)
@@ -70,36 +83,19 @@ def construct_path_towers(n: int, k: int, t: int, r: int) -> TowerSet:
     """Tower set of the closed-form size on the path power, audited
     before return (optimal except where gamma_path_power overshoots).
 
-    Towers sit at indices congruent to (t - r)k modulo the period
-    (2t - r - 1)k + 1; the final vertex is added when the tail would
-    otherwise sit too far from the last tower. The stated tail window
-    overreaches by one at its upper edge, so the audit repairs (and
-    logs) that case by appending the final vertex.
+    Towers sit at indices congruent to lead = (t - r)k modulo the
+    period (2t - r - 1)k + 1. The final vertex n - 1 is added unless
+    the tail (n - 1) mod period lies in lead..2*lead. The stated window
+    also admits 2*lead + 1, where the residue towers alone leave the
+    end short; the builder uses the corrected window.
     """
     _validate(n, k, t, r)
-    spec = GraphSpec.path_power(n, k)
-    params = SignalParams(t, r)
-    want = gamma_path_power(n, k, t, r)
-    period = (2 * t - r - 1) * k + 1
+    period = _period(k, t, r)
     lead = (t - r) * k
-
-    base = list(range(lead, n, period))
-    tail = (n - 1) % period
-    towers = base if lead <= tail <= 2 * lead + 1 else sorted({*base, n - 1})
-    candidate = TowerSet(spec, tuple(towers))
-    if len(candidate.vertices) == want and is_broadcasting(candidate, params).ok:
-        return candidate
-
-    repaired = TowerSet(spec, tuple(sorted({*towers, n - 1})))
-    if len(repaired.vertices) == want and is_broadcasting(repaired, params).ok:
-        log.info(
-            "path tail rule adjusted for n=%d k=%d t=%d r=%d: appended final vertex",
-            n, k, t, r,
-        )
-        return repaired
-    raise RuntimeError(
-        f"path construction failed its audit for n={n} k={k} t={t} r={r}"
-    )
+    towers = list(range(lead, n, period))
+    if not lead <= (n - 1) % period <= 2 * lead:
+        towers.append(n - 1)
+    return _certified(GraphSpec.path_power(n, k), towers, gamma_path_power(n, k, t, r), t, r)
 
 
 def construct_cycle_towers(n: int, k: int, t: int, r: int) -> TowerSet:
@@ -109,20 +105,11 @@ def construct_cycle_towers(n: int, k: int, t: int, r: int) -> TowerSet:
     period around the cycle, matching the three regimes of the count.
     """
     _validate(n, k, t, r)
-    spec = GraphSpec.cycle_power(n, k)
-    params = SignalParams(t, r)
-    want = gamma_cycle_power(n, k, t, r)
-    period = (2 * t - r - 1) * k + 1
-
+    period = _period(k, t, r)
     if n <= 2 * (t - r) * k + 1:
         towers = [0]
     elif n <= period:
         towers = [0, n // 2]
     else:
         towers = list(range(0, n, period))
-    result = TowerSet(spec, tuple(towers))
-    if len(result.vertices) != want or not is_broadcasting(result, params).ok:
-        raise RuntimeError(
-            f"cycle construction failed its audit for n={n} k={k} t={t} r={r}"
-        )
-    return result
+    return _certified(GraphSpec.cycle_power(n, k), towers, gamma_cycle_power(n, k, t, r), t, r)

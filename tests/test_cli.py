@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -391,6 +393,78 @@ def test_manifest_written_only_when_asked(tmp_path):
     code, _, _ = run(argv)
     assert code == 0  # no --manifest, no file
     assert sorted(p.name for p in tmp_path.iterdir()) == ["gamma.txt"]
+
+
+# ------------------------------------------------------- unwritable paths
+
+# A command line ending in an output flag, one per flag the CLI writes.
+WRITERS = {
+    "--out": ["formula", "path", "-n", "10", "-t", "3", "-r", "2", "--out"],
+    "--manifest": ["formula", "path", "-n", "10", "-t", "3", "-r", "2", "--manifest"],
+    "--csv": ["lattice", "excess", "--t1", "3", "-t", "3", "-r", "1", "--csv"],
+}
+
+
+@pytest.mark.parametrize("flag", sorted(WRITERS))
+def test_unwritable_output_path_is_input_error(tmp_path, flag):
+    # a missing directory and a directory both fail to open for writing
+    for target in (tmp_path / "missing" / "out.txt", tmp_path):
+        code, _, err = run([*WRITERS[flag], str(target)])
+        assert code == 2
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert "Traceback" not in err
+
+
+# ---------------------------------------------------------- README tour
+
+# Exit code of each `$ trbroadcast ...` line of the README's quick tour,
+# in order; the outputs checked are the ones the README shows.
+QUICK_TOUR = [
+    ("formula path -n 10 -k 2 -t 3 -r 2", 0),
+    ("solve path:n=10,k=2 -t 3 -r 2", 0),
+    ("construct path -n 12 -k 2 -t 3 -r 2 --out towers.json", 0),
+    ("verify towers.json -t 3 -r 2", 0),
+    ("verify towers.json -t 2 -r 2", 1),
+    ("lattice density --t3 5", 0),
+    ("lattice verify --t3 5 -t 5 -r 3", 0),
+    ("lattice excess --t3 5 -t 5 -r 3", 0),
+    ("lattice window --t3 6 -t 6 -r 3", 0),
+    ("lattice promote --t1 4 --base-t 4 --base-r 1 -k 2", 0),
+    ("sweep both --n-max 18 --k-max 3 --t-max 4 --out sweep.csv", 1),
+]
+
+
+def readme_quick_tour():
+    """(argv, shown output lines) for each `$ trbroadcast` line of the tour."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    tour = text.split("## Quick tour", 1)[1].split("\n## ", 1)[0]
+    steps = []
+    for block in re.findall(r"```sh\n(.*?)```", tour, re.S):
+        for line in block.splitlines():
+            if line.startswith("$ trbroadcast "):
+                argv = shlex.split(line.removeprefix("$ trbroadcast "), comments=True)
+                steps.append((argv, []))
+            else:
+                steps[-1][1].append(line)
+    return steps
+
+
+def test_readme_quick_tour_outputs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    steps = readme_quick_tour()
+    assert [" ".join(argv) for argv, _ in steps] == [cmd for cmd, _ in QUICK_TOUR]
+    for (argv, shown), (_, want_code) in zip(steps, QUICK_TOUR):
+        code, out, err = run(argv)
+        assert code == want_code, argv
+        members = [line.strip().rstrip(",") for line in shown]
+        if "..." in members:
+            # an elided JSON payload: each member shown must match
+            payload = json.loads(out)
+            for member in members:
+                if member not in ("{", "}", "..."):
+                    assert json.loads(f"{{{member}}}").items() <= payload.items(), member
+        elif shown:
+            assert (out + err).splitlines() == shown, argv
 
 
 # ------------------------------------------------------- console script

@@ -1,6 +1,5 @@
 """Closed-form counts and the certified constructions built from them."""
 
-import logging
 from itertools import combinations
 
 import pytest
@@ -93,15 +92,30 @@ def test_construct_path_examples():
     assert construct_path_towers(1, 2, 4, 1).vertices == (0,)
 
 
-def test_construct_path_tail_repair_is_logged(caplog):
-    # (n-1) mod period lands on the step where the plain residue rule
-    # strands the last vertex; the audit appends it and says so
-    with caplog.at_level(logging.INFO, logger="trbroadcast.formulas"):
-        towers = construct_path_towers(12, 1, 3, 2)
-    assert towers.vertices == (1, 5, 9, 11)
-    assert any("appended final vertex" in rec.message for rec in caplog.records)
-    check = is_broadcasting(towers, SignalParams(3, 2))
-    assert check.ok
+def test_path_tail_window_stops_one_short_of_its_stated_edge():
+    # The stated tail window lead <= (n-1) mod period <= 2*lead + 1
+    # admits its upper edge, where the residue towers alone leave the
+    # end short; the builder appends n - 1 there and stays at the
+    # closed-form size.
+    assert construct_path_towers(12, 1, 3, 2).vertices == (1, 5, 9, 11)
+    edges = 0
+    for n in range(1, 41):
+        for k in range(1, 4):
+            for t in range(1, 7):
+                for r in range(1, t + 1):
+                    period = (2 * t - r - 1) * k + 1
+                    lead = (t - r) * k
+                    if (n - 1) % period != 2 * lead + 1:
+                        continue
+                    edges += 1
+                    residue = tuple(range(lead, n, period))
+                    spec = GraphSpec.path_power(n, k)
+                    params = SignalParams(t, r)
+                    assert not is_broadcasting(TowerSet(spec, residue), params).ok
+                    built = construct_path_towers(n, k, t, r)
+                    assert built.vertices == (*residue, n - 1)
+                    assert len(built.vertices) == gamma_path_power(n, k, t, r)
+    assert edges > 0
 
 
 def test_construct_cycle_examples():
