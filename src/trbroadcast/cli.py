@@ -39,7 +39,7 @@ from .lattice import (
     window_excess,
 )
 from .signal import SignalParams, TowerSet, is_broadcasting, towers_from_json_dict
-from .solver import DEFAULT_NODE_BUDGET, solve, verify_witness
+from .solver import DEFAULT_NODE_BUDGET, solve
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -60,7 +60,7 @@ def _emit(text: str, out: str | None) -> list[str]:
     Every file the CLI writes goes through here, so a path that cannot
     be written is bad input (exit 2), not a crash.
     """
-    if out:
+    if out is not None:
         try:
             with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -85,8 +85,28 @@ def _csv_text(rows) -> str:
     return buffer.getvalue()
 
 
+def _report(args, payload, text: str | None = None, code: int = EXIT_OK,
+            note: str | None = None, written: tuple[str, ...] = ()) -> Outcome:
+    """Write one command's result and return its outcome.
+
+    The payload goes out as JSON unless the command has a plain-text
+    form and --json was not given. A note goes to stderr after it.
+    `written` lists the files the command already wrote itself.
+    """
+    if text is None or getattr(args, "json", False):
+        text = _json_text(payload)
+    outputs = [*written, *_emit(text, args.out)]
+    if note is not None:
+        print(note, file=sys.stderr)
+    return code, outputs
+
+
+def _verdict(ok: bool) -> int:
+    return EXIT_OK if ok else EXIT_PROPERTY
+
+
 def _write_manifest(args, argv: list[str], outputs: list[str], started: float) -> None:
-    if not getattr(args, "manifest", None):
+    if args.manifest is None:
         return
     manifest = {
         "argv": argv,
@@ -113,25 +133,29 @@ def _load_json_file(path: str):
         raise InputError(f"{path} is not valid JSON: {exc}") from None
 
 
-# ---------------------------------------------------------------- formula
+def _family(name: str):
+    """The closed form and the builder for `name`, looked up at call time."""
+    if name == "path":
+        return gamma_path_power, construct_path_towers
+    return gamma_cycle_power, construct_cycle_towers
+
+
+# ------------------------------------------------------ formula, construct
 
 
 def cmd_formula(args) -> Outcome:
-    if args.family == "path":
-        gamma = gamma_path_power(args.n, args.k, args.t, args.r)
-    else:
-        gamma = gamma_cycle_power(args.n, args.k, args.t, args.r)
-    if args.json:
-        text = _json_text(
-            {"family": args.family, "n": args.n, "k": args.k, "t": args.t,
-             "r": args.r, "gamma": gamma}
-        )
-    else:
-        text = str(gamma)
-    return EXIT_OK, _emit(text, args.out)
+    gamma = _family(args.family)[0](args.n, args.k, args.t, args.r)
+    payload = {"family": args.family, "n": args.n, "k": args.k, "t": args.t,
+               "r": args.r, "gamma": gamma}
+    return _report(args, payload, str(gamma))
 
 
-# ------------------------------------------------------------------ solve
+def cmd_construct(args) -> Outcome:
+    towers = _family(args.family)[1](args.n, args.k, args.t, args.r)
+    return _report(args, towers.to_json_dict())
+
+
+# ---------------------------------------------------------- solve, verify
 
 
 def cmd_solve(args) -> Outcome:
@@ -146,48 +170,25 @@ def cmd_solve(args) -> Outcome:
         "nodes_explored": result.nodes_explored,
         "proof_of_optimality": result.proof_of_optimality,
     }
-    outputs = _emit(_json_text(payload), args.out)
-    if not result.proof_of_optimality:
-        print(
-            f"node budget {args.budget} exhausted after {result.nodes_explored} nodes; "
-            "result is an unproven upper bound" if result.gamma is not None
-            else f"node budget {args.budget} exhausted with no tower set found",
-            file=sys.stderr,
-        )
-        return EXIT_BUDGET, outputs
-    return EXIT_OK, outputs
-
-
-# ----------------------------------------------------------------- verify
+    if result.proof_of_optimality:
+        return _report(args, payload)
+    if result.gamma is None:
+        note = f"node budget {args.budget} exhausted with no tower set found"
+    else:
+        note = (f"node budget {args.budget} exhausted after {result.nodes_explored} nodes; "
+                "result is an unproven upper bound")
+    return _report(args, payload, code=EXIT_BUDGET, note=note)
 
 
 def cmd_verify(args) -> Outcome:
     towers = towers_from_json_dict(_load_json_file(args.file))
     check = is_broadcasting(towers, _params(args))
-    if args.json:
-        text = _json_text(
-            {"ok": check.ok, "deficient_vertex": check.deficient_vertex,
-             "signal": check.signal, "required": args.r}
-        )
-    elif check.ok:
-        text = "OK"
-    else:
-        text = (
-            f"FAIL vertex={check.deficient_vertex} "
-            f"signal={check.signal} required={args.r}"
-        )
-    return (EXIT_OK if check.ok else EXIT_PROPERTY), _emit(text, args.out)
-
-
-# -------------------------------------------------------------- construct
-
-
-def cmd_construct(args) -> Outcome:
-    if args.family == "path":
-        towers = construct_path_towers(args.n, args.k, args.t, args.r)
-    else:
-        towers = construct_cycle_towers(args.n, args.k, args.t, args.r)
-    return EXIT_OK, _emit(_json_text(towers.to_json_dict()), args.out)
+    payload = {"ok": check.ok, "deficient_vertex": check.deficient_vertex,
+               "signal": check.signal, "required": args.r}
+    text = "OK" if check.ok else (
+        f"FAIL vertex={check.deficient_vertex} signal={check.signal} required={args.r}"
+    )
+    return _report(args, payload, text, _verdict(check.ok))
 
 
 # ---------------------------------------------------------------- lattice
@@ -205,35 +206,24 @@ def _lattice_config(args) -> LatticeConfig:
 def cmd_lattice_density(args) -> Outcome:
     config = _lattice_config(args)
     value = density(config)
-    if args.json:
-        text = _json_text({"density": str(value), "config": config.to_json_dict()})
-    else:
-        text = str(value)
-    return EXIT_OK, _emit(text, args.out)
+    return _report(args, {"density": str(value), "config": config.to_json_dict()}, str(value))
 
 
 def cmd_lattice_verify(args) -> Outcome:
-    config = _lattice_config(args)
-    check = verify_periodic(config, _params(args))
-    if args.json:
-        text = _json_text(
-            {"ok": check.ok,
-             "witness": list(check.witness) if check.witness else None,
-             "signal": check.signal, "required": args.r}
-        )
-    elif check.ok:
-        text = "OK"
-    else:
-        text = f"FAIL cell={check.witness} signal={check.signal} required={args.r}"
-    return (EXIT_OK if check.ok else EXIT_PROPERTY), _emit(text, args.out)
+    check = verify_periodic(_lattice_config(args), _params(args))
+    payload = {"ok": check.ok,
+               "witness": list(check.witness) if check.witness else None,
+               "signal": check.signal, "required": args.r}
+    text = "OK" if check.ok else (
+        f"FAIL cell={check.witness} signal={check.signal} required={args.r}"
+    )
+    return _report(args, payload, text, _verdict(check.ok))
 
 
 def cmd_lattice_excess(args) -> Outcome:
-    config = _lattice_config(args)
-    report = excess_report(config, _params(args))
-    outputs = _emit(_csv_text(report.csv_rows()), args.csv) if args.csv else []
-    outputs += _emit(_json_text(report.to_json_dict()), args.out)
-    return EXIT_OK, outputs
+    report = excess_report(_lattice_config(args), _params(args))
+    written = () if args.csv is None else _emit(_csv_text(report.csv_rows()), args.csv)
+    return _report(args, report.to_json_dict(), written=written)
 
 
 def cmd_lattice_window(args) -> Outcome:
@@ -247,55 +237,38 @@ def cmd_lattice_window(args) -> Outcome:
     if threshold is None:
         threshold = WINDOW_THRESHOLD_R3 if args.r == 3 else 0
     ok = value >= threshold
-    if args.json:
-        text = _json_text(
-            {"tower": [tx, ty], "orientation": args.orientation,
-             "window_excess": value, "threshold": threshold, "ok": ok}
-        )
-    else:
-        text = str(value)
-    outputs = _emit(text, args.out)
-    if not ok:
-        print(
-            f"window excess {value} below {threshold} at tower ({tx},{ty}) "
-            f"orientation {args.orientation}: falsification finding",
-            file=sys.stderr,
-        )
-        return EXIT_PROPERTY, outputs
-    return EXIT_OK, outputs
+    payload = {"tower": [tx, ty], "orientation": args.orientation,
+               "window_excess": value, "threshold": threshold, "ok": ok}
+    note = None if ok else (
+        f"window excess {value} below {threshold} at tower ({tx},{ty}) "
+        f"orientation {args.orientation}: falsification finding"
+    )
+    return _report(args, payload, str(value), _verdict(ok), note)
 
 
 def cmd_lattice_promote(args) -> Outcome:
-    config = _lattice_config(args)
-    holds = promote_check(config, args.base_t, args.base_r, args.k)
+    holds = promote_check(_lattice_config(args), args.base_t, args.base_r, args.k)
+    promoted_t, promoted_r = args.base_t + args.k, args.base_r + 2 * args.k
     payload = {
         "base": {"t": args.base_t, "r": args.base_r},
         "k": args.k,
-        "promoted": {"t": args.base_t + args.k, "r": args.base_r + 2 * args.k},
+        "promoted": {"t": promoted_t, "r": promoted_r},
         "holds": holds,
     }
-    outputs = _emit(_json_text(payload) if args.json else str(holds).lower(), args.out)
-    if not holds:
-        print(
-            f"promotion failed: ({args.base_t},{args.base_r}) configuration is not "
-            f"({args.base_t + args.k},{args.base_r + 2 * args.k})-broadcasting; "
-            "falsification finding",
-            file=sys.stderr,
-        )
-        return EXIT_PROPERTY, outputs
-    return EXIT_OK, outputs
+    note = None if holds else (
+        f"promotion failed: ({args.base_t},{args.base_r}) configuration is not "
+        f"({promoted_t},{promoted_r})-broadcasting; falsification finding"
+    )
+    return _report(args, payload, str(holds).lower(), _verdict(holds), note)
 
 
 def cmd_lattice_profile(args) -> Outcome:
     profile = promotion_excess_profile(args.t, args.k)
-    outputs = _emit(_json_text(profile.to_json_dict()), args.out)
-    if not profile.matches_claimed:
-        print(
-            f"observed per-tower excess {profile.average_per_tower} differs from "
-            f"the claimed total {profile.claimed_total} (documented finding)",
-            file=sys.stderr,
-        )
-    return EXIT_OK, outputs
+    note = None if profile.matches_claimed else (
+        f"observed per-tower excess {profile.average_per_tower} differs from "
+        f"the claimed total {profile.claimed_total} (documented finding)"
+    )
+    return _report(args, profile.to_json_dict(), note=note)
 
 
 # ------------------------------------------------------------------ sweep
@@ -303,12 +276,9 @@ def cmd_lattice_profile(args) -> Outcome:
 
 def _sweep_instance(job: tuple[str, int, int, int, int, int]) -> list:
     family, n, k, t, r, budget = job
-    if family == "path":
-        formula_gamma = gamma_path_power(n, k, t, r)
-        construction = construct_path_towers(n, k, t, r)
-    else:
-        formula_gamma = gamma_cycle_power(n, k, t, r)
-        construction = construct_cycle_towers(n, k, t, r)
+    gamma, build = _family(family)
+    formula_gamma = gamma(n, k, t, r)
+    construction = build(n, k, t, r)
     result = solve(construction.spec, SignalParams(t, r), node_budget=budget)
     solver_gamma = result.gamma if result.proof_of_optimality else None
     agree = (
@@ -345,18 +315,12 @@ def cmd_sweep(args) -> Outcome:
 
     header = ["family", "n", "k", "t", "r", "formula_gamma", "solver_gamma",
               "construction_size", "agree"]
-    outputs = _emit(_csv_text([header, *rows]), args.out)
-
     incomplete = sum(1 for row in rows if row[6] == "")
     disagreements = sum(1 for row in rows if row[8] != "true")
-    print(
-        f"sweep: {len(rows)} instances, {disagreements} disagreements, "
-        f"{incomplete} budget-limited",
-        file=sys.stderr,
-    )
-    if incomplete:
-        return EXIT_BUDGET, outputs
-    return (EXIT_PROPERTY if disagreements else EXIT_OK), outputs
+    note = (f"sweep: {len(rows)} instances, {disagreements} disagreements, "
+            f"{incomplete} budget-limited")
+    code = EXIT_BUDGET if incomplete else EXIT_PROPERTY if disagreements else EXIT_OK
+    return _report(args, None, _csv_text([header, *rows]), code, note)
 
 
 # ----------------------------------------------------------------- parser

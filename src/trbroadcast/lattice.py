@@ -17,7 +17,7 @@ is its raw sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .errors import InputError
@@ -88,8 +88,6 @@ def config_from_json_dict(data: dict) -> LatticeConfig:
         offsets = tuple(tuple(o) for o in data["offsets"])
     except (KeyError, TypeError):
         raise InputError("lattice config needs integer keys 'a', 'b', 'offsets'") from None
-    if len(a) != 2 or len(b) != 2 or any(len(o) != 2 for o in offsets):
-        raise InputError("lattice vectors and offsets must be coordinate pairs")
     return LatticeConfig(a, b, offsets)
 
 
@@ -383,26 +381,10 @@ class PromotionProfile:
     matches_claimed: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "k": self.k,
-            "audit_params": {"t": self.audit_params.t, "r": self.audit_params.r},
-            "square": [list(v) for v in self.square],
-            "per_diagonal": [
-                {
-                    "diagonal": d.diagonal,
-                    "claimed": d.claimed,
-                    "observed": list(d.observed),
-                }
-                for d in self.per_diagonal
-            ],
-            "square_excess_sum": self.square_excess_sum,
-            "domain_total_excess": self.domain_total_excess,
-            "average_per_tower": str(self.average_per_tower),
-            "claimed_total": str(self.claimed_total),
-            "all_excess_inside_square": self.all_excess_inside_square,
-            "matches_claimed": self.matches_claimed,
-        }
+        data = asdict(self)
+        for name in ("average_per_tower", "claimed_total"):
+            data[name] = str(data[name])
+        return data
 
 
 def promotion_excess_profile(t: int, k: int) -> PromotionProfile:

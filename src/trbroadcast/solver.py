@@ -15,9 +15,11 @@ signals and the remaining capped demand in place.
 Set-up builds one table, `cover`, from one radius t - 1 kernel call
 (`graphs.near`) per vertex, so it costs V x |ball| entries rather than
 V^2 distance calls. Distance is symmetric, so a vertex's list names
-both the vertices its tower serves and its own candidate towers. The
-final witness audit (`is_broadcasting`) stamps towers x |ball| entries
-and has no early exit.
+both the vertices its tower serves and its own candidate towers.
+
+Before it returns, `solve` re-audits its witness with `is_broadcasting`,
+which knows nothing of the search, and raises RuntimeError if the audit
+fails. The audit stamps towers x |ball| entries and has no early exit.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .graphs import GraphSpec, near
+from .graphs import GraphSpec, format_graph_spec, near
 from .signal import SignalParams, TowerSet, is_broadcasting
 
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -51,6 +53,7 @@ def solve(spec: GraphSpec, params: SignalParams, node_budget: int = DEFAULT_NODE
     """Exact minimum tower count with a certifying witness.
 
     Deterministic: identical inputs explore identical node sequences.
+    Any witness returned has passed is_broadcasting.
     Raises InputError when no tower set at all can meet the demand
     (possible only for t < r).
     """
@@ -130,7 +133,13 @@ def solve(spec: GraphSpec, params: SignalParams, node_budget: int = DEFAULT_NODE
         if not frames:
             break
 
-    witness = TowerSet(spec, tuple(sorted(best))) if best is not None else None
+    witness = None
+    if best is not None:
+        witness = TowerSet(spec, tuple(sorted(best)))
+        if not is_broadcasting(witness, params).ok:
+            raise RuntimeError(
+                f"solver witness failed its audit on {format_graph_spec(spec)} t={t} r={r}"
+            )
     return SolveResult(
         gamma=len(best) if best is not None else None,
         witness=witness,

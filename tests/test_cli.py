@@ -356,6 +356,39 @@ def test_sweep_threads_rejected_below_one_and_clamped_to_cpus(monkeypatch):
     assert created == [3, 2]
 
 
+def test_library_functions_are_looked_up_when_called(monkeypatch):
+    # Swapping a module attribute of the CLI must reach every command that
+    # uses it; the benchmark's per-layer tracer relies on this.
+    import trbroadcast.cli as cli
+
+    called = set()
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("gamma_path_power", "gamma_cycle_power",
+                 "construct_path_towers", "construct_cycle_towers"):
+        monkeypatch.setattr(cli, name, recording(name, getattr(cli, name)))
+    nktr = ["-n", "6", "-k", "1", "-t", "2", "-r", "1"]
+    one = ["--n-max", "1", "--k-max", "1", "--t-max", "1"]
+    cases = [
+        (["formula", "path", *nktr], {"gamma_path_power"}),
+        (["formula", "cycle", *nktr], {"gamma_cycle_power"}),
+        (["construct", "path", *nktr], {"construct_path_towers"}),
+        (["construct", "cycle", *nktr], {"construct_cycle_towers"}),
+        (["sweep", "path", *one], {"gamma_path_power", "construct_path_towers"}),
+        (["sweep", "cycle", *one], {"gamma_cycle_power", "construct_cycle_towers"}),
+    ]
+    for argv, expected in cases:
+        called.clear()
+        assert run(argv)[0] == 0
+        assert called == expected, argv
+
+
 def test_cycle_sweep_clean_on_default_small_range():
     code, _, err = run(["sweep", "cycle", "--n-max", "10", "--k-max", "2",
                         "--t-max", "3"])
@@ -407,8 +440,8 @@ WRITERS = {
 
 @pytest.mark.parametrize("flag", sorted(WRITERS))
 def test_unwritable_output_path_is_input_error(tmp_path, flag):
-    # a missing directory and a directory both fail to open for writing
-    for target in (tmp_path / "missing" / "out.txt", tmp_path):
+    # a missing directory, a directory and an empty path all fail to open
+    for target in (tmp_path / "missing" / "out.txt", tmp_path, ""):
         code, _, err = run([*WRITERS[flag], str(target)])
         assert code == 2
         assert err.startswith(f"error: cannot write {target}: ")

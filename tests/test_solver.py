@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from trbroadcast import (
+    BroadcastCheck,
     GraphSpec,
     InputError,
     SignalParams,
@@ -162,3 +163,12 @@ def test_verify_witness_rejects_tampering():
         proof_of_optimality=True,
     )
     assert not verify_witness(empty, spec, params)
+
+
+def test_solve_raises_when_its_witness_fails_the_audit(monkeypatch):
+    import trbroadcast.solver as solver
+
+    monkeypatch.setattr(solver, "is_broadcasting",
+                        lambda towers, params: BroadcastCheck(False, 0, 0))
+    with pytest.raises(RuntimeError, match="path:n=10,k=1 t=3 r=2"):
+        solve(GraphSpec.path_power(10, 1), SignalParams(3, 2))
