@@ -166,17 +166,14 @@ def cmd_solve(args) -> Outcome:
         "t": args.t,
         "r": args.r,
         "gamma": result.gamma,
-        "witness": result.witness.to_json_dict() if result.witness else None,
+        "witness": result.witness.to_json_dict(),
         "nodes_explored": result.nodes_explored,
         "proof_of_optimality": result.proof_of_optimality,
     }
     if result.proof_of_optimality:
         return _report(args, payload)
-    if result.gamma is None:
-        note = f"node budget {args.budget} exhausted with no tower set found"
-    else:
-        note = (f"node budget {args.budget} exhausted after {result.nodes_explored} nodes; "
-                "result is an unproven upper bound")
+    note = (f"node budget {args.budget} exhausted after {result.nodes_explored} nodes; "
+            "result is an unproven upper bound")
     return _report(args, payload, code=EXIT_BUDGET, note=note)
 
 

@@ -6,11 +6,22 @@ within t - 1 of it, taken in index order, which makes runs fully
 deterministic. Pruning compares the incumbent against the remaining
 capped demand divided by one tower's best possible usable supply.
 
+Two rules keep the search off sets it cannot improve on. Once a frame
+has searched one candidate's subtree, that candidate stays banned until
+the frame pops, since every set holding it has been searched. And the
+incumbent starts as a greedy cover, so the search looks only for sets
+no larger than it. Both cut only subtrees with nothing better than the
+incumbent, so they change no proved witness; a budget cut with nothing
+better found returns the greedy cover. The greedy is lazy: capped gains
+only shrink as signal grows, so it re-scores the tower with the largest
+stale gain and places it only if the fresh gain still leads.
+
 The search is one loop over an explicit stack: `towers` holds the
-towers on the current branch and `frames` the branch vertex and next
-candidate index at each depth, so depth is not limited by recursion.
-Placing or removing a tower walks its `cover` list, updating the raw
-signals and the remaining capped demand in place.
+towers on the current branch and `frames` the branch vertex, next
+candidate index and banned towers at each depth, so depth is not
+limited by recursion. Placing or removing a tower walks its `cover`
+list, updating the raw signals and the remaining capped demand in
+place.
 
 Set-up builds one table, `cover`, from one radius t - 1 kernel call
 (`graphs.near`) per vertex, so it costs V x |ball| entries rather than
@@ -25,6 +36,7 @@ fails. The audit stamps towers x |ball| entries and has no early exit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .errors import InputError
 from .graphs import GraphSpec, format_graph_spec, near
@@ -39,14 +51,35 @@ class SolveResult:
 
     proof_of_optimality is true only when the search space was fully
     exhausted below gamma. On budget exhaustion gamma/witness hold the
-    best incumbent found so far, or None when there is none; they are
+    best incumbent found so far, at worst the greedy cover; they are
     upper bounds, never wrong answers presented as optimal.
     """
 
-    gamma: int | None
-    witness: TowerSet | None
+    gamma: int
+    witness: TowerSet
     nodes_explored: int
     proof_of_optimality: bool
+
+
+def _greedy_cover(cover: list[list[tuple[int, int]]], supply: list[int], r: int) -> list[int]:
+    """Towers placed one at a time, each with a largest capped gain on
+    the remaining demand; of tied towers, the one re-scored first."""
+    raw = [0] * len(cover)
+    deficit = len(cover) * r
+    heap = [(-s, u) for u, s in enumerate(supply)]
+    heapify(heap)
+    towers = []
+    while deficit:
+        _, u = heappop(heap)
+        gain = sum(min(g, r - raw[w]) for w, g in cover[u] if raw[w] < r)
+        if heap and gain < -heap[0][0]:
+            heappush(heap, (-gain, u))
+            continue
+        towers.append(u)
+        deficit -= gain
+        for w, g in cover[u]:
+            raw[w] += g
+    return towers
 
 
 def solve(spec: GraphSpec, params: SignalParams, node_budget: int = DEFAULT_NODE_BUDGET) -> SolveResult:
@@ -65,7 +98,8 @@ def solve(spec: GraphSpec, params: SignalParams, node_budget: int = DEFAULT_NODE
     # cover[u]: (vertex, gain) for every vertex a tower at u would serve,
     # which are also the candidate towers that would raise u's signal.
     cover = [[(u, t - d) for u, d in near(spec, v, t - 1)] for v in range(nv)]
-    cap = max(sum(min(r, g) for _, g in pairs) for pairs in cover)
+    supply = [sum(min(r, g) for _, g in pairs) for pairs in cover]
+    cap = max(supply)
 
     if t < r:
         for v in range(nv):
@@ -74,16 +108,18 @@ def solve(spec: GraphSpec, params: SignalParams, node_budget: int = DEFAULT_NODE
                     f"infeasible: vertex {v} cannot collect {r} even from all towers"
                 )
 
+    best = _greedy_cover(cover, supply, r)
+    best_size = len(best) + 1
     raw = [0] * nv
-    in_set = bytearray(nv)
+    # banned[u]: u is on the branch or an earlier sibling of a frame on it.
+    banned = bytearray(nv)
     deficit = nv * r
     towers: list[int] = []
-    # frames[d]: [branch vertex, next index into its cover list] at depth d.
-    frames: list[list[int]] = []
+    # frames[d]: [branch vertex, next index into its cover list, the
+    # towers this frame banned] at depth d.
+    frames: list[list] = []
     nodes = 0
     exhausted = False
-    best: list[int] | None = None
-    best_size = nv + 1
     lo = 0
     while True:
         nodes += 1
@@ -100,27 +136,29 @@ def solve(spec: GraphSpec, params: SignalParams, node_budget: int = DEFAULT_NODE
             v = lo
             while raw[v] >= r:
                 v += 1
-            frames.append([v, 0])
+            frames.append([v, 0, []])
         # Backtrack to the deepest frame with an untried candidate and
         # place it; the node it opens is the next loop iteration.
         while frames:
             frame = frames[-1]
+            v, i, tried = frame
             if len(towers) == len(frames):
+                # The tower leaves the branch but stays banned: every set
+                # holding it has just been searched.
                 u = towers.pop()
-                in_set[u] = 0
+                tried.append(u)
                 for w, g in cover[u]:
                     after = raw[w] - g
                     raw[w] = after
                     if after < r:
                         deficit += min(g, r - after)
-            v, i = frame
             candidates = cover[v]
-            while i < len(candidates) and in_set[candidates[i][0]]:
+            while i < len(candidates) and banned[candidates[i][0]]:
                 i += 1
             if i < len(candidates):
                 u = candidates[i][0]
                 frame[1] = i + 1
-                in_set[u] = 1
+                banned[u] = 1
                 towers.append(u)
                 for w, g in cover[u]:
                     before = raw[w]
@@ -129,19 +167,19 @@ def solve(spec: GraphSpec, params: SignalParams, node_budget: int = DEFAULT_NODE
                         deficit -= min(g, r - before)
                 lo = v
                 break
+            for u in tried:
+                banned[u] = 0
             frames.pop()
         if not frames:
             break
 
-    witness = None
-    if best is not None:
-        witness = TowerSet(spec, tuple(sorted(best)))
-        if not is_broadcasting(witness, params).ok:
-            raise RuntimeError(
-                f"solver witness failed its audit on {format_graph_spec(spec)} t={t} r={r}"
-            )
+    witness = TowerSet(spec, tuple(sorted(best)))
+    if not is_broadcasting(witness, params).ok:
+        raise RuntimeError(
+            f"solver witness failed its audit on {format_graph_spec(spec)} t={t} r={r}"
+        )
     return SolveResult(
-        gamma=len(best) if best is not None else None,
+        gamma=len(best),
         witness=witness,
         nodes_explored=nodes,
         proof_of_optimality=not exhausted,
@@ -150,8 +188,6 @@ def solve(spec: GraphSpec, params: SignalParams, node_budget: int = DEFAULT_NODE
 
 def verify_witness(result: SolveResult, spec: GraphSpec, params: SignalParams) -> bool:
     """Re-audit a solver witness from scratch, independent of the search."""
-    if result.witness is None or result.gamma is None:
-        return False
     if result.witness.spec != spec or len(result.witness.vertices) != result.gamma:
         return False
     return is_broadcasting(result.witness, params).ok

@@ -85,9 +85,9 @@ def test_solve_budget_exhaustion_exits_3():
                           "--budget", "3"])
     assert code == 3
     payload = json.loads(out)
-    assert payload["gamma"] is None
+    assert payload["gamma"] == 6
     assert payload["proof_of_optimality"] is False
-    assert "exhausted" in err
+    assert "unproven upper bound" in err
 
 
 def test_solve_deep_path_runs_without_recursion():

@@ -3,6 +3,8 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from trbroadcast import (
     BroadcastCheck,
@@ -82,8 +84,8 @@ def test_determinism_including_node_counts():
     first = solve(spec, params)
     second = solve(spec, params)
     assert first == second
-    assert first.nodes_explored == 45
-    assert solve(GraphSpec.cycle_power(12, 1), params).nodes_explored == 50
+    assert first.nodes_explored == 20
+    assert solve(GraphSpec.cycle_power(12, 1), params).nodes_explored == 14
 
 
 def test_gamma_monotone_in_strength_and_size():
@@ -110,21 +112,79 @@ def test_infeasible_demand_is_an_input_error():
 
 
 def test_budget_exhaustion_is_explicit():
+    # a cut before any better set keeps the greedy cover as the incumbent
     result = solve(GraphSpec.path_power(18, 1), SignalParams(2, 1), node_budget=3)
     assert not result.proof_of_optimality
-    assert result.gamma is None
-    assert result.witness is None
+    assert result.gamma == 6
+    assert result.witness.vertices == (1, 4, 7, 10, 13, 16)
     assert result.nodes_explored == 4
-    assert not verify_witness(result, GraphSpec.path_power(18, 1), SignalParams(2, 1))
-    # a cut after the first incumbent keeps it, as an unproved upper bound
-    result = solve(GraphSpec.path_power(18, 1), SignalParams(2, 1), node_budget=20)
+    assert verify_witness(result, GraphSpec.path_power(18, 1), SignalParams(2, 1))
+    # a cut after the search beat the greedy cover (3 towers) keeps the
+    # better set, still as an unproved upper bound
+    result = solve(GraphSpec.path_power(10, 2), SignalParams(3, 2), node_budget=17)
     assert not result.proof_of_optimality
-    assert result.gamma == 16
-    assert result.witness.vertices == (*range(15), 16)
-    assert result.nodes_explored == 21
-    assert is_broadcasting(result.witness, SignalParams(2, 1)).ok
+    assert result.gamma == 2
+    assert result.witness.vertices == (0, 7)
+    assert result.nodes_explored == 18
+    assert is_broadcasting(result.witness, SignalParams(3, 2)).ok
     with pytest.raises(InputError):
         solve(GraphSpec.path_power(5, 1), SignalParams(2, 1), node_budget=0)
+
+
+# (rows, cols, t, r) -> (gamma, witness) of the grid-search benchmark
+# jobs. A prune may save nodes but must not move these witnesses.
+PINNED_GRID_OPTIMA = {
+    (6, 6, 3, 2): (6, (0, 4, 14, 23, 24, 33)),
+    (5, 8, 3, 2): (7, (0, 6, 11, 16, 29, 31, 34)),
+    (6, 7, 3, 2): (7, (1, 5, 17, 21, 27, 29, 39)),
+    (6, 6, 4, 3): (4, (2, 17, 18, 33)),
+    (7, 7, 2, 1): (12, (1, 5, 10, 14, 20, 23, 25, 28, 34, 38, 43, 47)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_GRID_OPTIMA))
+def test_grid_optima_and_witnesses_are_pinned(case):
+    rows, cols, t, r = case
+    result = solve(GraphSpec.grid(rows, cols), SignalParams(t, r))
+    assert result.proof_of_optimality
+    assert (result.gamma, result.witness.vertices) == PINNED_GRID_OPTIMA[case]
+
+
+def test_grid_8x8_proves_within_the_default_budget():
+    spec, params = GraphSpec.grid(8, 8), SignalParams(3, 2)
+    result = solve(spec, params)
+    assert result.proof_of_optimality
+    assert result.gamma == 10
+    assert verify_witness(result, spec, params)
+
+
+@st.composite
+def budget_cut(draw):
+    fam = draw(st.sampled_from(["path", "cycle", "grid", "torus"]))
+    if fam in ("path", "cycle"):
+        n = draw(st.integers(1, 30))
+        k = draw(st.integers(1, 3))
+        spec = GraphSpec.path_power(n, k) if fam == "path" else GraphSpec.cycle_power(n, k)
+    else:
+        rows = draw(st.integers(1, 6))
+        cols = draw(st.integers(1, 6))
+        spec = GraphSpec.grid(rows, cols) if fam == "grid" else GraphSpec.torus(rows, cols)
+    params = SignalParams(draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    return spec, params, draw(st.integers(1, 60))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(budget_cut())
+def test_budget_cut_witness_always_audits(case):
+    spec, params, budget = case
+    try:
+        full = solve(spec, params)
+    except InputError:
+        assume(False)
+    result = solve(spec, params, node_budget=budget)
+    assert result.proof_of_optimality or result.nodes_explored == budget + 1
+    assert verify_witness(result, spec, params)
+    assert result.gamma >= full.gamma
 
 
 def test_verify_witness_rejects_tampering():
