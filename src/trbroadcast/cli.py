@@ -3,7 +3,9 @@
 Machine-readable payloads go to stdout (or to --out files); progress
 and diagnostics go to stderr. Exit codes: 0 success, 1 property
 failure (a falsified claim, a failed verification, a sweep
-disagreement), 2 bad input, 3 node budget exhausted.
+disagreement), 2 bad input, 3 node budget exhausted, 4 internal error
+(an unexpected exception, such as a failed self-audit; its traceback
+goes to stderr).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
@@ -45,6 +48,7 @@ EXIT_OK = 0
 EXIT_PROPERTY = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 # Default threshold for the window audit at demand 3: every tower of a
 # broadcasting configuration is expected to sit beside at least 4 excess.
@@ -301,7 +305,7 @@ def cmd_sweep(args) -> Outcome:
         for family in families
         for k in range(1, args.k_max + 1)
         for t in range(1, args.t_max + 1)
-        for r in range(1, min(t, args.r_max) + 1)
+        for r in range(1, t + 1)
         for n in range(1, args.n_max + 1)
     ]
     if threads > 1:
@@ -438,8 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--n-max", type=int, default=18)
     sub.add_argument("--k-max", type=int, default=3)
     sub.add_argument("--t-max", type=int, default=4)
-    sub.add_argument("--r-max", type=int, default=10 ** 6,
-                     help="cap on r (r always stays <= t)")
     sub.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     sub.add_argument("--threads", type=int, default=1,
                      help="parallel workers, at most the CPU count; output order is unchanged")
@@ -453,8 +455,9 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command; write its manifest when --manifest is given.
 
     The manifest is written on every path that reaches a command,
-    including bad input (exit 2), and records the parsed argv. A
-    manifest path that cannot be written is itself bad input.
+    including bad input (exit 2) and internal errors (exit 4), and
+    records the parsed argv. A manifest path that cannot be written is
+    itself bad input.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
@@ -465,6 +468,11 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_INPUT
+    except Exception as exc:
+        # Exit 1 means "property fails", so a crash must not look like it.
+        print(f"internal error: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        code = EXIT_INTERNAL
     try:
         _write_manifest(args, argv, outputs, started)
     except InputError as exc:

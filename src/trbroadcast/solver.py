@@ -6,19 +6,22 @@ within t - 1 of it, taken in index order, which makes runs fully
 deterministic. Pruning compares the incumbent against the remaining
 capped demand divided by one tower's best possible usable supply.
 
-Two rules keep the search off sets it cannot improve on. Once a frame
-has searched one candidate's subtree, that candidate stays banned until
-the frame pops, since every set holding it has been searched. And the
-incumbent starts as a greedy cover, so the search looks only for sets
-no larger than it. Both cut only subtrees with nothing better than the
-incumbent, so they change no proved witness; a budget cut with nothing
-better found returns the greedy cover. The greedy is lazy: capped gains
-only shrink as signal grows, so it re-scores the tower with the largest
-stale gain and places it only if the fresh gain still leads.
+One rule keeps the search off sets it cannot improve on: it looks only
+for a set smaller than the best one so far, and checks this before it
+places each tower, so every set it records is smaller than the one
+before. The first best is a greedy cover, which `solve` returns when
+the search finds nothing smaller, whether it proved that or was cut by
+the budget. The greedy is lazy: capped gains only shrink as signal
+grows, so it re-scores the tower with the largest stale gain and places
+it only if the fresh gain still leads. And once a frame has searched
+one candidate's subtree, that candidate stays banned until the frame
+pops, since every set holding it has been searched.
 
-The search is one loop over an explicit stack: `towers` holds the
-towers on the current branch and `frames` the branch vertex, next
-candidate index and banned towers at each depth, so depth is not
+`_search` knows nothing of the graph, the greedy or the audit: it
+reads the cover table, r, one tower's largest capped supply, the limit
+and the node budget. It is one loop over an explicit stack: `towers`
+holds the towers on the current branch and `frames` the branch vertex,
+next candidate index and banned towers at each depth, so depth is not
 limited by recursion. Placing or removing a tower walks its `cover`
 list, updating the raw signals and the remaining capped demand in
 place.
@@ -50,9 +53,11 @@ class SolveResult:
     """Solver outcome.
 
     proof_of_optimality is true only when the search space was fully
-    exhausted below gamma. On budget exhaustion gamma/witness hold the
-    best incumbent found so far, at worst the greedy cover; they are
-    upper bounds, never wrong answers presented as optimal.
+    exhausted below gamma. A proved witness is the greedy cover unless
+    the search found a smaller set, and then the smallest it found. On
+    budget exhaustion gamma/witness hold the best set found so far, at
+    worst the greedy cover; they are upper bounds, never wrong answers
+    presented as optimal. nodes_explored never exceeds the budget.
     """
 
     gamma: int
@@ -82,6 +87,79 @@ def _greedy_cover(cover: list[list[tuple[int, int]]], supply: list[int], r: int)
     return towers
 
 
+def _search(cover: list[list[tuple[int, int]]], r: int, cap: int, limit: int,
+            node_budget: int) -> tuple[list[int] | None, int, bool]:
+    """Smallest tower set below `limit` towers that the search finds.
+
+    Returns (towers or None, nodes explored, whether the budget cut the
+    search). A run that is not cut has proved that no set is smaller
+    than the one it returns, or than `limit` when it returns None.
+    `cap` is an upper bound on the capped supply of any one tower.
+    """
+    nv = len(cover)
+    best = None
+    raw = [0] * nv
+    # banned[u]: u is on the branch or an earlier sibling of a frame on it.
+    banned = bytearray(nv)
+    deficit = nv * r
+    towers: list[int] = []
+    # frames[d]: [branch vertex, next index into its cover list, the
+    # towers this frame banned] at depth d.
+    frames: list[list] = []
+    nodes = 0
+    lo = 0
+    while nodes < node_budget:
+        nodes += 1
+        if deficit == 0:
+            best = towers.copy()
+            limit = len(towers)
+        else:
+            # Any completion must add a tower within reach of the first
+            # deficient vertex; signal only grows along a branch, so the
+            # scan never needs to back up past lo.
+            v = lo
+            while raw[v] >= r:
+                v += 1
+            frames.append([v, 0, []])
+        # Backtrack to the deepest frame that may still place a tower
+        # below the limit and has an untried candidate, and place it;
+        # the node it opens is the next loop iteration.
+        while frames:
+            frame = frames[-1]
+            v, i, tried = frame
+            if len(towers) == len(frames):
+                # The tower leaves the branch but stays banned: every set
+                # holding it has just been searched.
+                u = towers.pop()
+                tried.append(u)
+                for w, g in cover[u]:
+                    after = raw[w] - g
+                    raw[w] = after
+                    if after < r:
+                        deficit += min(g, r - after)
+            candidates = cover[v]
+            while i < len(candidates) and banned[candidates[i][0]]:
+                i += 1
+            if i < len(candidates) and len(towers) + -(-deficit // cap) < limit:
+                u = candidates[i][0]
+                frame[1] = i + 1
+                banned[u] = 1
+                towers.append(u)
+                for w, g in cover[u]:
+                    before = raw[w]
+                    raw[w] = before + g
+                    if before < r:
+                        deficit -= min(g, r - before)
+                lo = v
+                break
+            for u in tried:
+                banned[u] = 0
+            frames.pop()
+        if not frames:
+            return best, nodes, False
+    return best, nodes, True
+
+
 def solve(spec: GraphSpec, params: SignalParams, node_budget: int = DEFAULT_NODE_BUDGET) -> SolveResult:
     """Exact minimum tower count with a certifying witness.
 
@@ -99,7 +177,6 @@ def solve(spec: GraphSpec, params: SignalParams, node_budget: int = DEFAULT_NODE
     # which are also the candidate towers that would raise u's signal.
     cover = [[(u, t - d) for u, d in near(spec, v, t - 1)] for v in range(nv)]
     supply = [sum(min(r, g) for _, g in pairs) for pairs in cover]
-    cap = max(supply)
 
     if t < r:
         for v in range(nv):
@@ -108,70 +185,9 @@ def solve(spec: GraphSpec, params: SignalParams, node_budget: int = DEFAULT_NODE
                     f"infeasible: vertex {v} cannot collect {r} even from all towers"
                 )
 
-    best = _greedy_cover(cover, supply, r)
-    best_size = len(best) + 1
-    raw = [0] * nv
-    # banned[u]: u is on the branch or an earlier sibling of a frame on it.
-    banned = bytearray(nv)
-    deficit = nv * r
-    towers: list[int] = []
-    # frames[d]: [branch vertex, next index into its cover list, the
-    # towers this frame banned] at depth d.
-    frames: list[list] = []
-    nodes = 0
-    exhausted = False
-    lo = 0
-    while True:
-        nodes += 1
-        if nodes > node_budget:
-            exhausted = True
-            break
-        if deficit == 0:
-            best_size = len(towers)
-            best = towers.copy()
-        elif len(towers) + -(-deficit // cap) < best_size:
-            # Any completion must add a tower within reach of the first
-            # deficient vertex; signal only grows along a branch, so the
-            # scan never needs to back up past lo.
-            v = lo
-            while raw[v] >= r:
-                v += 1
-            frames.append([v, 0, []])
-        # Backtrack to the deepest frame with an untried candidate and
-        # place it; the node it opens is the next loop iteration.
-        while frames:
-            frame = frames[-1]
-            v, i, tried = frame
-            if len(towers) == len(frames):
-                # The tower leaves the branch but stays banned: every set
-                # holding it has just been searched.
-                u = towers.pop()
-                tried.append(u)
-                for w, g in cover[u]:
-                    after = raw[w] - g
-                    raw[w] = after
-                    if after < r:
-                        deficit += min(g, r - after)
-            candidates = cover[v]
-            while i < len(candidates) and banned[candidates[i][0]]:
-                i += 1
-            if i < len(candidates):
-                u = candidates[i][0]
-                frame[1] = i + 1
-                banned[u] = 1
-                towers.append(u)
-                for w, g in cover[u]:
-                    before = raw[w]
-                    raw[w] = before + g
-                    if before < r:
-                        deficit -= min(g, r - before)
-                lo = v
-                break
-            for u in tried:
-                banned[u] = 0
-            frames.pop()
-        if not frames:
-            break
+    greedy = _greedy_cover(cover, supply, r)
+    found, nodes, exhausted = _search(cover, r, max(supply), len(greedy), node_budget)
+    best = greedy if found is None else found
 
     witness = TowerSet(spec, tuple(sorted(best)))
     if not is_broadcasting(witness, params).ok:

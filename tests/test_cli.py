@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from trbroadcast import BroadcastCheck
 from trbroadcast.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -81,23 +82,43 @@ def test_solve_payload():
 
 
 def test_solve_budget_exhaustion_exits_3():
-    code, out, err = run(["solve", "path:n=18,k=1", "-t", "2", "-r", "1",
+    # the greedy cover (3 towers) is not optimal here, so the search runs
+    code, out, err = run(["solve", "path:n=10,k=2", "-t", "3", "-r", "2",
                           "--budget", "3"])
     assert code == 3
     payload = json.loads(out)
-    assert payload["gamma"] == 6
+    assert payload["gamma"] == 3
     assert payload["proof_of_optimality"] is False
+    assert payload["nodes_explored"] == 3
+    assert "exhausted after 3 nodes" in err
     assert "unproven upper bound" in err
 
 
 def test_solve_deep_path_runs_without_recursion():
-    # one tower per vertex: the search goes 1200 towers deep
-    code, out, _ = run(["solve", "path:n=1200,k=1", "-t", "1", "-r", "1"])
+    # the greedy cover has 1002 towers and the optimum 1001, which the
+    # search reaches 1001 towers deep
+    code, out, _ = run(["solve", "path:n=2001,k=1", "-t", "2", "-r", "2"])
     assert code == 0
     payload = json.loads(out)
-    assert payload["gamma"] == 1200
+    assert payload["gamma"] == 1001
     assert payload["proof_of_optimality"] is True
-    assert payload["nodes_explored"] == 1201
+    assert payload["nodes_explored"] == 2002
+
+
+def test_internal_error_exits_4_and_still_writes_the_manifest(tmp_path, monkeypatch):
+    import trbroadcast.solver as solver
+
+    monkeypatch.setattr(solver, "is_broadcasting",
+                        lambda towers, params: BroadcastCheck(False, 0, 0))
+    manifest = tmp_path / "run.json"
+    argv = ["solve", "path:n=10,k=1", "-t", "3", "-r", "2", "--manifest", str(manifest)]
+    code, out, err = run(argv)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error: solver witness failed its audit")
+    assert "Traceback" in err and "RuntimeError" in err
+    data = json.loads(manifest.read_text())
+    assert data["argv"] == argv and data["outputs"] == []
 
 
 def test_solve_rejects_bad_spec():
@@ -302,6 +323,19 @@ def test_sweep_budget_exhaustion_exits_3():
                         "--t-max", "2", "--budget", "2"])
     assert code == 3
     assert any(line.split(",")[6] == "" for line in out.splitlines()[1:])
+
+
+def test_sweep_runs_every_demand_up_to_strength(tmp_path):
+    manifest = tmp_path / "run.json"
+    code, out, _ = run(["sweep", "path", "--n-max", "1", "--k-max", "1",
+                        "--t-max", "3", "--manifest", str(manifest)])
+    assert code == 0
+    assert [line.split(",")[3:5] for line in out.splitlines()[1:]] == [
+        [str(t), str(r)] for t in range(1, 4) for r in range(1, t + 1)
+    ]
+    assert "r_max" not in json.loads(manifest.read_text())["inputs"]
+    with pytest.raises(SystemExit):
+        run(["sweep", "path", "--r-max", "1"])
 
 
 def test_empty_sweep_is_a_header_only_csv():
