@@ -18,7 +18,6 @@ from .graphs import (
     Family,
     GraphSpec,
     ball,
-    bfs_distance,
     bfs_distances_from,
     distance,
     format_graph_spec,
@@ -80,7 +79,6 @@ __all__ = [
     "audit_vertex",
     "axis_periods",
     "ball",
-    "bfs_distance",
     "bfs_distances_from",
     "centered_t1_frame",
     "config_from_json_dict",

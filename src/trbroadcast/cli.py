@@ -171,13 +171,14 @@ def cmd_solve(args) -> Outcome:
         "r": args.r,
         "gamma": result.gamma,
         "witness": result.witness.to_json_dict(),
+        "lower_bound": result.lower_bound,
         "nodes_explored": result.nodes_explored,
         "proof_of_optimality": result.proof_of_optimality,
     }
     if result.proof_of_optimality:
         return _report(args, payload)
     note = (f"node budget {args.budget} exhausted after {result.nodes_explored} nodes; "
-            "result is an unproven upper bound")
+            f"{result.lower_bound} <= gamma <= {result.gamma}")
     return _report(args, payload, code=EXIT_BUDGET, note=note)
 
 

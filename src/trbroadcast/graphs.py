@@ -208,9 +208,24 @@ def bfs_distances_from(spec: GraphSpec, u: int) -> list[int]:
     return dist
 
 
-def bfs_distance(spec: GraphSpec, u: int, v: int) -> int:
-    _check_vertex(spec, v)
-    return bfs_distances_from(spec, u)[v]
+def reflections(spec: GraphSpec) -> list[list[int]]:
+    """Vertex permutations that preserve distance, as image lists.
+
+    The reversal of a path or cycle power; the row flip and the column
+    flip of a grid or torus, plus the transpose when it is square. They
+    generate the reflection group of a path (order 2), a rectangle
+    (order 4) or a square (order 8).
+    """
+    nv = spec.num_vertices
+    if spec.family in (Family.PATH, Family.CYCLE):
+        return [list(range(nv - 1, -1, -1))]
+    rows, cols = spec.rows, spec.cols
+    cells = [divmod(v, cols) for v in range(nv)]
+    out = [[(rows - 1 - y) * cols + x for y, x in cells],
+           [y * cols + cols - 1 - x for y, x in cells]]
+    if rows == cols:
+        out.append([x * cols + y for y, x in cells])
+    return out
 
 
 def format_graph_spec(spec: GraphSpec) -> str:

@@ -119,6 +119,23 @@ def is_broadcasting(towers: TowerSet, params: SignalParams) -> BroadcastCheck:
     return BroadcastCheck(True)
 
 
+def weighted_bound(spec: GraphSpec, params: SignalParams, weights: list[int]) -> tuple[int, int]:
+    """Least tower count that integer vertex weights W >= 0 certify, and
+    the scale D behind it.
+
+    Every vertex collects at least r capped signal from a broadcasting
+    set, so r * sum(W) is at most the number of towers times D, the
+    largest sum of min(r, t - d) * W_v that one tower delivers. Returns
+    (ceil(r * sum(W) / D), D), with D computed here from `near` alone.
+    """
+    t, r = params.t, params.r
+    if len(weights) != spec.num_vertices or any(type(w) is not int or w < 0 for w in weights):
+        raise InputError("weights must be one nonnegative integer per vertex")
+    scale = max(sum(min(r, t - d) * weights[v] for v, d in near(spec, u, t - 1))
+                for u in range(spec.num_vertices))
+    return (-(-r * sum(weights) // scale) if scale else 0), scale
+
+
 def usable_cap_1d(params: SignalParams, k: int) -> int:
     """Most capped signal one tower can supply on a path or cycle power.
 

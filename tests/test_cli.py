@@ -90,8 +90,16 @@ def test_solve_budget_exhaustion_exits_3():
     assert payload["gamma"] == 3
     assert payload["proof_of_optimality"] is False
     assert payload["nodes_explored"] == 3
-    assert "exhausted after 3 nodes" in err
-    assert "unproven upper bound" in err
+    assert payload["lower_bound"] == 2
+    assert err == "node budget 3 exhausted after 3 nodes; 2 <= gamma <= 3\n"
+    # past the escalation allowance the LP dual lifts the bound above
+    # the capacity bound, ceil(2 * 64 / 18) = 8
+    code, out, err = run(["solve", "grid:8x8", "-t", "3", "-r", "2", "--budget", "520"])
+    assert code == 3
+    payload = json.loads(out)
+    assert (payload["lower_bound"], payload["gamma"]) == (10, 12)
+    assert payload["proof_of_optimality"] is False
+    assert err == "node budget 520 exhausted after 520 nodes; 10 <= gamma <= 12\n"
 
 
 def test_solve_deep_path_runs_without_recursion():
@@ -119,6 +127,24 @@ def test_internal_error_exits_4_and_still_writes_the_manifest(tmp_path, monkeypa
     assert "Traceback" in err and "RuntimeError" in err
     data = json.loads(manifest.read_text())
     assert data["argv"] == argv and data["outputs"] == []
+
+
+def test_failed_dual_certificate_exits_4(monkeypatch):
+    from fractions import Fraction
+
+    import trbroadcast.solver as solver
+
+    simplex = solver._simplex
+
+    def uniform_weights(rows, gains):
+        value, x = simplex(rows, gains)
+        return value, [Fraction(1)] * len(x)
+
+    monkeypatch.setattr(solver, "_simplex", uniform_weights)
+    code, out, err = run(["solve", "grid:6x6", "-t", "3", "-r", "2"])
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error: LP dual bound 6 failed its certificate")
 
 
 def test_solve_rejects_bad_spec():

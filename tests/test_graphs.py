@@ -9,7 +9,6 @@ from trbroadcast import (
     GraphSpec,
     InputError,
     ball,
-    bfs_distance,
     bfs_distances_from,
     distance,
     format_graph_spec,
@@ -17,6 +16,7 @@ from trbroadcast import (
     neighbors,
     parse_graph_spec,
 )
+from trbroadcast.graphs import reflections
 
 
 def test_path_power_distance_examples():
@@ -111,7 +111,24 @@ def test_bfs_agrees_on_small_specs():
             row = bfs_distances_from(spec, u)
             for v in range(spec.num_vertices):
                 assert row[v] == distance(spec, u, v)
-    assert bfs_distance(GraphSpec.path_power(2, 1), 0, 1) == 1
+    assert bfs_distances_from(GraphSpec.path_power(2, 1), 0) == [0, 1]
+
+
+@pytest.mark.parametrize("spec", [
+    GraphSpec.path_power(1, 1), GraphSpec.path_power(8, 1), GraphSpec.path_power(9, 3),
+    GraphSpec.cycle_power(9, 2), GraphSpec.grid(1, 4), GraphSpec.grid(3, 5),
+    GraphSpec.grid(4, 4), GraphSpec.grid(5, 5), GraphSpec.torus(3, 4), GraphSpec.torus(4, 4),
+])
+def test_reflections_preserve_distance(spec):
+    nv = spec.num_vertices
+    perms = reflections(spec)
+    square = spec.family in (Family.GRID, Family.TORUS) and spec.rows == spec.cols
+    assert len(perms) == (1 if spec.family in (Family.PATH, Family.CYCLE) else 3 if square else 2)
+    for perm in perms:
+        assert sorted(perm) == list(range(nv))
+        for u in range(nv):
+            for v in range(nv):
+                assert distance(spec, perm[u], perm[v]) == distance(spec, u, v)
 
 
 def test_cycle_power_is_complete_when_n_small():

@@ -1,12 +1,15 @@
 """Exact branch-and-bound solver: optima, certificates, determinism."""
 
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import trbroadcast.solver as solver
 from trbroadcast import (
+    DEFAULT_NODE_BUDGET,
     BroadcastCheck,
     GraphSpec,
     InputError,
@@ -14,9 +17,13 @@ from trbroadcast import (
     SolveResult,
     TowerSet,
     is_broadcasting,
+    near,
+    parse_graph_spec,
     solve,
     verify_witness,
 )
+from trbroadcast.graphs import reflections
+from trbroadcast.signal import weighted_bound
 
 
 def brute_force_gamma(spec, params):
@@ -120,6 +127,8 @@ def test_budget_exhaustion_is_explicit():
     assert result.gamma == 3
     assert result.witness.vertices == (0, 4, 9)
     assert result.nodes_explored == 3
+    # the capacity bound: demand 2 * 10 over 14 capped supply per tower
+    assert result.lower_bound == 2
     assert verify_witness(result, spec, params)
     # a cut after the search beat the greedy cover (4 towers) keeps the
     # smaller set, still as an unproved upper bound; the optimum is 2
@@ -129,6 +138,7 @@ def test_budget_exhaustion_is_explicit():
     assert result.gamma == 3
     assert result.witness.vertices == (0, 1, 9)
     assert result.nodes_explored == 11
+    assert result.lower_bound == 2
     assert verify_witness(result, spec, params)
     with pytest.raises(InputError):
         solve(GraphSpec.path_power(5, 1), SignalParams(2, 1), node_budget=0)
@@ -138,11 +148,11 @@ def test_budget_exhaustion_is_explicit():
 # grid-search benchmark jobs. A prune may save nodes but must not move
 # these witnesses; the node counts move only with the search itself.
 PINNED_GRID_OPTIMA = {
-    (6, 6, 3, 2): (6, (0, 4, 14, 23, 24, 33), 1060),
-    (5, 8, 3, 2): (7, (0, 6, 11, 16, 29, 31, 34), 28892),
-    (6, 7, 3, 2): (7, (1, 5, 17, 21, 27, 29, 39), 11837),
-    (6, 6, 4, 3): (4, (2, 17, 18, 33), 1964),
-    (7, 7, 2, 1): (12, (1, 5, 10, 14, 20, 23, 25, 28, 34, 38, 43, 47), 30660),
+    (6, 6, 3, 2): (6, (0, 4, 14, 23, 24, 33), 560),
+    (5, 8, 3, 2): (7, (0, 6, 11, 16, 29, 31, 34), 1597),
+    (6, 7, 3, 2): (7, (1, 5, 17, 21, 27, 29, 39), 1043),
+    (6, 6, 4, 3): (4, (2, 17, 18, 33), 660),
+    (7, 7, 2, 1): (12, (1, 5, 10, 14, 20, 23, 25, 28, 34, 38, 43, 47), 891),
 }
 
 
@@ -151,6 +161,7 @@ def test_grid_optima_and_witnesses_are_pinned(case):
     rows, cols, t, r = case
     result = solve(GraphSpec.grid(rows, cols), SignalParams(t, r))
     assert result.proof_of_optimality
+    assert result.lower_bound == result.gamma
     assert (result.gamma, result.witness.vertices, result.nodes_explored) == PINNED_GRID_OPTIMA[case]
 
 
@@ -194,15 +205,19 @@ def test_budget_cut_witness_always_audits(case):
     result = solve(spec, params, node_budget=budget)
     assert result.proof_of_optimality or result.nodes_explored == budget
     assert verify_witness(result, spec, params)
-    assert result.gamma >= full.gamma
+    assert result.lower_bound <= full.gamma <= result.gamma
+    assert result.proof_of_optimality == (result.lower_bound == result.gamma)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(two_budget_cuts())
 @example((GraphSpec.path_power(10, 2), SignalParams(3, 2), 9, 10))
+@example((GraphSpec.grid(8, 8), SignalParams(3, 2), 400, 600))
+@example((GraphSpec.grid(8, 8), SignalParams(3, 2), 600, 900))
 def test_larger_budget_never_returns_a_worse_or_tied_other_set(case):
-    # each set the search records is smaller than the one before, so a
-    # larger budget keeps the same set or a smaller one
+    # each set the search records is smaller than the one before, and a
+    # ladder rung records only sets below the best, so a larger budget
+    # keeps the same set or a smaller one, also across the allowance
     spec, params, budget, larger = case
     try:
         result = solve(spec, params, node_budget=budget)
@@ -210,6 +225,7 @@ def test_larger_budget_never_returns_a_worse_or_tied_other_set(case):
         assume(False)
     more = solve(spec, params, node_budget=larger)
     assert more.gamma <= result.gamma
+    assert more.lower_bound >= result.lower_bound
     if more.gamma == result.gamma:
         assert more.witness == result.witness
 
@@ -224,6 +240,7 @@ def test_verify_witness_rejects_tampering():
         witness=TowerSet(spec, result.witness.vertices[:-1]),
         nodes_explored=0,
         proof_of_optimality=True,
+        lower_bound=0,
     )
     assert not verify_witness(dropped, spec, params)
 
@@ -232,6 +249,7 @@ def test_verify_witness_rejects_tampering():
         witness=TowerSet(spec, result.witness.vertices[:-1]),
         nodes_explored=0,
         proof_of_optimality=True,
+        lower_bound=0,
     )
     assert not verify_witness(length_lie, spec, params)
 
@@ -240,6 +258,7 @@ def test_verify_witness_rejects_tampering():
         witness=result.witness,
         nodes_explored=0,
         proof_of_optimality=True,
+        lower_bound=0,
     )
     assert not verify_witness(wrong_graph, GraphSpec.path_power(11, 1), params)
 
@@ -248,14 +267,141 @@ def test_verify_witness_rejects_tampering():
         witness=TowerSet(spec, ()),
         nodes_explored=0,
         proof_of_optimality=True,
+        lower_bound=0,
     )
     assert not verify_witness(empty, spec, params)
 
 
 def test_solve_raises_when_its_witness_fails_the_audit(monkeypatch):
-    import trbroadcast.solver as solver
-
     monkeypatch.setattr(solver, "is_broadcasting",
                         lambda towers, params: BroadcastCheck(False, 0, 0))
     with pytest.raises(RuntimeError, match="path:n=10,k=1 t=3 r=2"):
         solve(GraphSpec.path_power(10, 1), SignalParams(3, 2))
+
+
+def cover_table(spec, t):
+    return [[(u, t - d) for u, d in near(spec, v, t - 1)] for v in range(spec.num_vertices)]
+
+
+@pytest.mark.parametrize("text, t, r, value", [
+    ("path:n=40,k=3", 6, 6, Fraction(180, 53)),
+    ("grid:7x7", 2, 1, Fraction(23, 2)),
+    ("grid:6x6", 3, 2, Fraction(40, 7)),
+])
+def test_exact_lp_dual_values(text, t, r, value):
+    spec, params = parse_graph_spec(text), SignalParams(t, r)
+    cover = cover_table(spec, t)
+    got, weights = solver._dual_weights(spec, cover, r)
+    assert got == value
+    # W / D is feasible and attains the optimum, and the certificate
+    # agrees, with the scale the cover table gives
+    bound, scale = weighted_bound(spec, params, weights)
+    assert Fraction(r * sum(weights), scale) == value
+    assert bound == -(-value.numerator // value.denominator)
+    assert scale == max(sum(min(r, g) * weights[v] for v, g in pairs) for pairs in cover)
+
+
+def test_zero_weights_still_charge_a_deficient_vertex_one_tower():
+    # the dual of grid 4x4 at (3, 5) weighs only the corners: a branch
+    # one tower below the limit can have no weighted deficit left, yet
+    # it still needs a tower, so no set of the limit's size is recorded
+    spec, t, r = GraphSpec.grid(4, 4), 3, 5
+    cover = cover_table(spec, t)
+    _, weights = solver._dual_weights(spec, cover, r)
+    assert weights == [1, 0, 0, 1] + [0] * 8 + [1, 0, 0, 1]
+    _, scale = weighted_bound(spec, SignalParams(t, r), weights)
+    assert solver._search(cover, r, weights, scale, 8, DEFAULT_NODE_BUDGET) == (None, 147, False)
+    result = solve(spec, SignalParams(t, r))
+    assert (result.gamma, result.lower_bound, result.proof_of_optimality) == (8, 8, True)
+
+
+def test_uniform_dual_is_the_capacity_bound():
+    # path:n=40,k=3 at (6, 6): demand 6 * 40 over 96 capped supply is 5/2,
+    # below the LP's 180/53, and weight 1 everywhere certifies ceil(5/2)
+    spec, params = GraphSpec.path_power(40, 3), SignalParams(6, 6)
+    assert weighted_bound(spec, params, [1] * 40) == (3, 96)
+
+
+def group(perms, nv):
+    """Every element of the group the permutations generate."""
+    identity = tuple(range(nv))
+    seen, stack = {identity}, [identity]
+    while stack:
+        g = stack.pop()
+        for p in perms:
+            h = tuple(p[x] for x in g)
+            if h not in seen:
+                seen.add(h)
+                stack.append(h)
+    return seen
+
+
+@pytest.mark.parametrize("spec", [
+    GraphSpec.grid(1, 1), GraphSpec.grid(1, 6), GraphSpec.grid(2, 7), GraphSpec.grid(3, 5),
+    GraphSpec.grid(4, 6), GraphSpec.grid(5, 5), GraphSpec.grid(6, 6),
+])
+def test_orbit_count_closed_form(spec):
+    perms = reflections(spec)
+    orbits = {frozenset(p[v] for p in group(perms, spec.num_vertices)) for v in range(spec.num_vertices)}
+    assert solver._orbit_count(spec) == len(orbits)
+
+
+def test_tampered_dual_weights_fail_the_certificate(monkeypatch):
+    simplex = solver._simplex
+
+    def uniform_weights(rows, gains):
+        value, x = simplex(rows, gains)
+        return value, [Fraction(1)] * len(x)
+
+    monkeypatch.setattr(solver, "_simplex", uniform_weights)
+    with pytest.raises(RuntimeError, match="certificate on grid:6x6 t=3 r=2"):
+        solve(GraphSpec.grid(6, 6), SignalParams(3, 2))
+
+
+@pytest.mark.parametrize("spec, params", [
+    (GraphSpec.torus(6, 6), SignalParams(3, 2)),
+    (GraphSpec.cycle_power(24, 1), SignalParams(5, 5)),
+    (GraphSpec.path_power(41, 3), SignalParams(5, 5)),
+    (GraphSpec.grid(2, 17), SignalParams(2, 1)),
+])
+def test_only_grids_three_wide_run_the_lp(monkeypatch, spec, params):
+    # Tori and cycles are vertex-transitive: the uniform weights are
+    # already an optimal dual. On paths and two-row grids the LP and the
+    # ladder cost more than they save. The torus, path and grid searches
+    # run 781, 2,237 and 1,011 nodes, past the allowance a wider grid
+    # gets, yet the one search keeps the whole budget.
+    def forbidden(*args):
+        raise AssertionError("the LP ran")
+
+    budgets = []
+
+    def search(*args):
+        budgets.append(args[-1])
+        return real_search(*args)
+
+    real_search = solver._search
+    monkeypatch.setattr(solver, "_simplex", forbidden)
+    monkeypatch.setattr(solver, "_search", search)
+    result = solve(spec, params)
+    assert result.proof_of_optimality
+    assert result.lower_bound == result.gamma
+    assert budgets == [DEFAULT_NODE_BUDGET]
+
+
+def test_cut_past_the_allowance_reports_the_dual_bound():
+    # capacity bound ceil(2 * 64 / 18) = 8; the LP dual certifies 10 = gamma
+    spec, params = GraphSpec.grid(8, 8), SignalParams(3, 2)
+    result = solve(spec, params, node_budget=520)
+    assert not result.proof_of_optimality
+    assert result.nodes_explored == 520
+    assert result.lower_bound == 10 < result.gamma
+    assert verify_witness(result, spec, params)
+
+
+@pytest.mark.parametrize("rows, t, r, gamma", [(10, 3, 2, 15), (11, 3, 2, 17), (10, 2, 1, 24)])
+def test_ladder_proves_grids_the_capacity_bound_could_not(rows, t, r, gamma):
+    spec, params = GraphSpec.grid(rows, rows), SignalParams(t, r)
+    result = solve(spec, params)
+    assert result.proof_of_optimality
+    assert result.gamma == result.lower_bound == gamma
+    assert verify_witness(result, spec, params)
