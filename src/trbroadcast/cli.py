@@ -62,7 +62,9 @@ def _emit(text: str, out: str | None) -> list[str]:
     """Write text to the file `out` when given, else to stdout. Returns paths.
 
     Every file the CLI writes goes through here, so a path that cannot
-    be written is bad input (exit 2), not a crash.
+    be written is bad input (exit 2), not a crash. A reader that closes
+    stdout early, such as `head`, has taken all it wants: that is not a
+    failure either.
     """
     if out is not None:
         try:
@@ -73,9 +75,17 @@ def _emit(text: str, out: str | None) -> list[str]:
         except OSError as exc:
             raise InputError(f"cannot write {out}: {exc}") from None
         return [out]
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
+    try:
+        sys.stdout.write(text)
+        if not text.endswith("\n"):
+            sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The interpreter flushes stdout again at exit; pointed at the
+        # null device, that flush cannot raise a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return []
 
 

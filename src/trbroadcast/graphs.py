@@ -208,24 +208,27 @@ def bfs_distances_from(spec: GraphSpec, u: int) -> list[int]:
     return dist
 
 
-def reflections(spec: GraphSpec) -> list[list[int]]:
-    """Vertex permutations that preserve distance, as image lists.
+def reflection_orbits(spec: GraphSpec) -> list[int]:
+    """Orbit id of every vertex under the graph's reflections, with ids
+    numbered in the order of each orbit's least vertex.
 
-    The reversal of a path or cycle power; the row flip and the column
-    flip of a grid or torus, plus the transpose when it is square. They
-    generate the reflection group of a path (order 2), a rectangle
-    (order 4) or a square (order 8).
+    The reflections are the reversal of a path or cycle power, and the
+    row flip and the column flip of a grid or torus, plus the transpose
+    when it is square. They preserve distance and generate a group of
+    order 2, 4 or 8, whose orbits are read off in closed form: two
+    vertices share one exactly when their coordinates folded onto the
+    first half of each axis agree, as an unordered pair on a square.
     """
-    nv = spec.num_vertices
     if spec.family in (Family.PATH, Family.CYCLE):
-        return [list(range(nv - 1, -1, -1))]
-    rows, cols = spec.rows, spec.cols
-    cells = [divmod(v, cols) for v in range(nv)]
-    out = [[(rows - 1 - y) * cols + x for y, x in cells],
-           [y * cols + cols - 1 - x for y, x in cells]]
-    if rows == cols:
-        out.append([x * cols + y for y, x in cells])
-    return out
+        keys = [min(v, spec.n - 1 - v) for v in range(spec.n)]
+    else:
+        rows, cols = spec.rows, spec.cols
+        keys = [(min(y, rows - 1 - y), min(x, cols - 1 - x))
+                for y in range(rows) for x in range(cols)]
+        if rows == cols:
+            keys = [tuple(sorted(key)) for key in keys]
+    ids: dict = {}
+    return [ids.setdefault(key, len(ids)) for key in keys]
 
 
 def format_graph_spec(spec: GraphSpec) -> str:

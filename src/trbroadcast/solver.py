@@ -33,10 +33,11 @@ way whose reflection group has at most ORBIT_CAP orbits, that search
 may spend only ESCALATION_ALLOWANCE nodes; if the allowance (not the
 caller's budget) cuts it, `solve` solves the LP dual exactly and climbs
 from its bound:
-  - The LP has one variable per orbit of the graph's reflections
-    (`graphs.reflections`), since averaging an optimum over them keeps
-    it optimal: maximise r * sum_O |O| * w_O subject to sum_O
-    A[u][O] * w_O <= 1 for one representative u per orbit, with A[u][O]
+  - The LP has one variable per orbit of the graph's reflections, read
+    from the closed-form orbit map `graphs.reflection_orbits`, since
+    averaging an optimum over them keeps it optimal: maximise
+    r * sum_O |O| * w_O subject to sum_O A[u][O] * w_O <= 1 for the
+    least vertex u of each orbit, with A[u][O]
     = sum over v in O of min(r, g_uv). `_simplex` solves it exactly
     by integer pivoting; w is scaled to integers W by the least common
     denominator.
@@ -59,8 +60,8 @@ Cycles and tori never escalate: they are vertex-transitive, so the
 uniform weights are already an optimal dual. Paths, grids one or two
 rows wide and grids above ORBIT_CAP do not escalate either: there the
 LP or the ladder was measured to cost more than the search it would
-save (see the constants). The orbit count is computed in closed form,
-so ineligible specs pay nothing.
+save (see the constants). Only grids at least three wide build the
+orbit map, in O(V), so every other spec pays nothing.
 
 `_search` knows nothing of the graph, the greedy or the audit: it
 reads the cover table, r, the bound (W, D), the limit and the node
@@ -89,7 +90,7 @@ from heapq import heapify, heappop, heappush
 from math import ceil, lcm
 
 from .errors import InputError
-from .graphs import Family, GraphSpec, format_graph_spec, near, reflections
+from .graphs import Family, GraphSpec, format_graph_spec, near, reflection_orbits
 from .signal import SignalParams, TowerSet, is_broadcasting, weighted_bound
 
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -118,23 +119,26 @@ ORBIT_CAP = 21
 class SolveResult:
     """Solver outcome.
 
-    proof_of_optimality is true only when the search space was fully
-    exhausted below gamma. A proved witness is the greedy cover unless
-    the search found a smaller set, and then the smallest it found (on
-    an escalated run, the first set the ladder found). On budget
-    exhaustion gamma/witness hold the best set found so far, at worst
-    the greedy cover; they are upper bounds, never wrong answers
-    presented as optimal. lower_bound is gamma when proved, and
-    otherwise the proved bound: the capacity bound, or on an escalated
-    run the certified LP-dual bound as raised by finished ladder rungs.
-    nodes_explored never exceeds the budget.
+    lower_bound is the proved bound: gamma when the search space was
+    fully exhausted below gamma, and otherwise the capacity bound, or on
+    an escalated run the certified LP-dual bound as raised by finished
+    ladder rungs; proof_of_optimality says whether it meets gamma. A
+    proved witness is the greedy cover unless the search found a smaller
+    set, and then the smallest it found (on an escalated run, the first
+    set the ladder found). On budget exhaustion gamma/witness hold the
+    best set found so far, at worst the greedy cover; they are upper
+    bounds, never wrong answers presented as optimal. nodes_explored
+    never exceeds the budget.
     """
 
     gamma: int
     witness: TowerSet
     nodes_explored: int
-    proof_of_optimality: bool
     lower_bound: int
+
+    @property
+    def proof_of_optimality(self) -> bool:
+        return self.lower_bound == self.gamma
 
 
 def _greedy_cover(cover: list[list[tuple[int, int]]], supply: list[int], r: int) -> list[int]:
@@ -243,14 +247,6 @@ def _search(cover: list[list[tuple[int, int]]], r: int, weights: list[int], scal
     return best, nodes, True
 
 
-def _orbit_count(spec: GraphSpec) -> int:
-    """Number of orbits of a grid's reflections, in closed form."""
-    half_rows, half_cols = (spec.rows + 1) // 2, (spec.cols + 1) // 2
-    if spec.rows == spec.cols:
-        return half_rows * (half_rows + 1) // 2
-    return half_rows * half_cols
-
-
 def _simplex(rows: list[list[int]], gains: list[int]) -> tuple[Fraction, list[Fraction]]:
     """Maximum of gains . x subject to rows . x <= 1 and x >= 0, and a
     point that attains it.
@@ -294,42 +290,26 @@ def _simplex(rows: list[list[int]], gains: list[int]) -> tuple[Fraction, list[Fr
     return Fraction(cost[-1], d), x
 
 
-def _dual_weights(spec: GraphSpec, cover: list[list[tuple[int, int]]],
+def _dual_weights(orbit: list[int], cover: list[list[tuple[int, int]]],
                   r: int) -> tuple[Fraction, list[int]]:
     """The optimum of the fractional relaxation's dual, and integer
     weights W that attain it.
 
     The dual maximises r * sum(y) subject to sum_v min(r, g_uv) * y_v
     <= 1 at every tower u. Averaging an optimum over the graph's
-    reflections keeps it optimal, so one variable per reflection orbit
-    O and one row per orbit representative suffice. W is y scaled by the
-    least common denominator.
+    reflections keeps it optimal, so one variable per orbit O of the
+    orbit map `orbit` (`graphs.reflection_orbits`) and one row per
+    orbit's least vertex suffice. W is y scaled by the least common
+    denominator.
     """
-    perms = reflections(spec)
-    orbit = [-1] * len(cover)
-    reps: list[int] = []
-    for v in range(len(cover)):
-        if orbit[v] < 0:
-            orbit[v] = len(reps)
-            stack = [v]
-            while stack:
-                x = stack.pop()
-                for perm in perms:
-                    y = perm[x]
-                    if orbit[y] < 0:
-                        orbit[y] = len(reps)
-                        stack.append(y)
-            reps.append(v)
-    sizes = [0] * len(reps)
-    for o in orbit:
-        sizes[o] += 1
+    reps = [orbit.index(o) for o in range(max(orbit) + 1)]
     rows = []
     for u in reps:
         row = [0] * len(reps)
         for v, g in cover[u]:
             row[orbit[v]] += min(r, g)
         rows.append(row)
-    value, y = _simplex(rows, [r * size for size in sizes])
+    value, y = _simplex(rows, [r * orbit.count(o) for o in range(len(reps))])
     denominator = lcm(*(a.denominator for a in y))
     return value, [int(y[o] * denominator) for o in orbit]
 
@@ -363,9 +343,10 @@ def solve(spec: GraphSpec, params: SignalParams, node_budget: int = DEFAULT_NODE
     # The capacity bound: weight 1 on every vertex.
     lb = -(-r * nv // max(supply))
     budget = node_budget
-    if (spec.family is Family.GRID and min(spec.rows, spec.cols) >= 3
-            and _orbit_count(spec) <= ORBIT_CAP):
-        budget = min(node_budget, ESCALATION_ALLOWANCE)
+    if spec.family is Family.GRID and min(spec.rows, spec.cols) >= 3:
+        orbit = reflection_orbits(spec)
+        if max(orbit) + 1 <= ORBIT_CAP:
+            budget = min(node_budget, ESCALATION_ALLOWANCE)
     found, nodes, cut = _search(cover, r, [1] * nv, max(supply), len(greedy), budget)
     best = greedy if found is None else found
     if not cut:
@@ -373,7 +354,7 @@ def solve(spec: GraphSpec, params: SignalParams, node_budget: int = DEFAULT_NODE
     elif budget < node_budget:
         # The allowance, not the caller's budget, cut the search: climb
         # from the certified LP-dual bound, one limit at a time.
-        value, weights = _dual_weights(spec, cover, r)
+        value, weights = _dual_weights(orbit, cover, r)
         lb, scale = weighted_bound(spec, params, weights)
         if lb != ceil(value):
             raise RuntimeError(
@@ -399,7 +380,6 @@ def solve(spec: GraphSpec, params: SignalParams, node_budget: int = DEFAULT_NODE
         gamma=len(best),
         witness=witness,
         nodes_explored=nodes,
-        proof_of_optimality=lb == len(best),
         lower_bound=lb,
     )
 

@@ -613,3 +613,21 @@ def test_python_dash_m_runs_the_cli():
     assert proc.returncode == 0
     proc = module("formula", "path", "-n", "0", "-k", "1", "-t", "2", "-r", "1")
     assert proc.returncode == 2
+
+
+def test_a_closed_stdout_is_not_a_crash(tmp_path):
+    # The excess report is about 760 KB, far more than a pipe buffer, so
+    # the CLI is still writing when the reader closes its end after one
+    # line, as `| head -n 1` does.
+    manifest = tmp_path / "run.json"
+    argv = ["lattice", "excess", "--t1", "60", "-t", "60", "-r", "1", "--manifest", str(manifest)]
+    proc = subprocess.Popen([sys.executable, "-m", "trbroadcast", *argv], env=src_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    for sign in ("internal error", "Traceback", "Exception ignored"):
+        assert sign not in err
+    assert json.loads(manifest.read_text())["argv"] == argv

@@ -16,7 +16,7 @@ from trbroadcast import (
     neighbors,
     parse_graph_spec,
 )
-from trbroadcast.graphs import reflections
+from trbroadcast.graphs import reflection_orbits
 
 
 def test_path_power_distance_examples():
@@ -120,15 +120,39 @@ def test_bfs_agrees_on_small_specs():
     GraphSpec.grid(4, 4), GraphSpec.grid(5, 5), GraphSpec.torus(3, 4), GraphSpec.torus(4, 4),
 ])
 def test_reflections_preserve_distance(spec):
+    # the flips, built here from coordinates: the reversal of a path or
+    # cycle power; the row flip, the column flip and, on a square, the
+    # transpose of a grid or torus
     nv = spec.num_vertices
-    perms = reflections(spec)
-    square = spec.family in (Family.GRID, Family.TORUS) and spec.rows == spec.cols
-    assert len(perms) == (1 if spec.family in (Family.PATH, Family.CYCLE) else 3 if square else 2)
+    if spec.family in (Family.PATH, Family.CYCLE):
+        perms = [[nv - 1 - v for v in range(nv)]]
+    else:
+        rows, cols = spec.rows, spec.cols
+        cells = [divmod(v, cols) for v in range(nv)]
+        perms = [[(rows - 1 - y) * cols + x for y, x in cells],
+                 [y * cols + cols - 1 - x for y, x in cells]]
+        if rows == cols:
+            perms.append([x * cols + y for y, x in cells])
     for perm in perms:
         assert sorted(perm) == list(range(nv))
         for u in range(nv):
             for v in range(nv):
                 assert distance(spec, perm[u], perm[v]) == distance(spec, u, v)
+    # the orbit map is their closure, numbered by each orbit's least vertex
+    orbit = [-1] * nv
+    count = 0
+    for v in range(nv):
+        if orbit[v] < 0:
+            orbit[v] = count
+            stack = [v]
+            while stack:
+                x = stack.pop()
+                for perm in perms:
+                    if orbit[perm[x]] < 0:
+                        orbit[perm[x]] = count
+                        stack.append(perm[x])
+            count += 1
+    assert reflection_orbits(spec) == orbit
 
 
 def test_cycle_power_is_complete_when_n_small():

@@ -22,7 +22,7 @@ from trbroadcast import (
     solve,
     verify_witness,
 )
-from trbroadcast.graphs import reflections
+from trbroadcast.graphs import reflection_orbits
 from trbroadcast.signal import weighted_bound
 
 
@@ -239,7 +239,6 @@ def test_verify_witness_rejects_tampering():
         gamma=result.gamma - 1,
         witness=TowerSet(spec, result.witness.vertices[:-1]),
         nodes_explored=0,
-        proof_of_optimality=True,
         lower_bound=0,
     )
     assert not verify_witness(dropped, spec, params)
@@ -248,7 +247,6 @@ def test_verify_witness_rejects_tampering():
         gamma=result.gamma,
         witness=TowerSet(spec, result.witness.vertices[:-1]),
         nodes_explored=0,
-        proof_of_optimality=True,
         lower_bound=0,
     )
     assert not verify_witness(length_lie, spec, params)
@@ -257,7 +255,6 @@ def test_verify_witness_rejects_tampering():
         gamma=result.gamma,
         witness=result.witness,
         nodes_explored=0,
-        proof_of_optimality=True,
         lower_bound=0,
     )
     assert not verify_witness(wrong_graph, GraphSpec.path_power(11, 1), params)
@@ -266,7 +263,6 @@ def test_verify_witness_rejects_tampering():
         gamma=0,
         witness=TowerSet(spec, ()),
         nodes_explored=0,
-        proof_of_optimality=True,
         lower_bound=0,
     )
     assert not verify_witness(empty, spec, params)
@@ -291,7 +287,7 @@ def cover_table(spec, t):
 def test_exact_lp_dual_values(text, t, r, value):
     spec, params = parse_graph_spec(text), SignalParams(t, r)
     cover = cover_table(spec, t)
-    got, weights = solver._dual_weights(spec, cover, r)
+    got, weights = solver._dual_weights(reflection_orbits(spec), cover, r)
     assert got == value
     # W / D is feasible and attains the optimum, and the certificate
     # agrees, with the scale the cover table gives
@@ -307,7 +303,7 @@ def test_zero_weights_still_charge_a_deficient_vertex_one_tower():
     # it still needs a tower, so no set of the limit's size is recorded
     spec, t, r = GraphSpec.grid(4, 4), 3, 5
     cover = cover_table(spec, t)
-    _, weights = solver._dual_weights(spec, cover, r)
+    _, weights = solver._dual_weights(reflection_orbits(spec), cover, r)
     assert weights == [1, 0, 0, 1] + [0] * 8 + [1, 0, 0, 1]
     _, scale = weighted_bound(spec, SignalParams(t, r), weights)
     assert solver._search(cover, r, weights, scale, 8, DEFAULT_NODE_BUDGET) == (None, 147, False)
@@ -322,28 +318,16 @@ def test_uniform_dual_is_the_capacity_bound():
     assert weighted_bound(spec, params, [1] * 40) == (3, 96)
 
 
-def group(perms, nv):
-    """Every element of the group the permutations generate."""
-    identity = tuple(range(nv))
-    seen, stack = {identity}, [identity]
-    while stack:
-        g = stack.pop()
-        for p in perms:
-            h = tuple(p[x] for x in g)
-            if h not in seen:
-                seen.add(h)
-                stack.append(h)
-    return seen
-
-
 @pytest.mark.parametrize("spec", [
     GraphSpec.grid(1, 1), GraphSpec.grid(1, 6), GraphSpec.grid(2, 7), GraphSpec.grid(3, 5),
     GraphSpec.grid(4, 6), GraphSpec.grid(5, 5), GraphSpec.grid(6, 6),
 ])
 def test_orbit_count_closed_form(spec):
-    perms = reflections(spec)
-    orbits = {frozenset(p[v] for p in group(perms, spec.num_vertices)) for v in range(spec.num_vertices)}
-    assert solver._orbit_count(spec) == len(orbits)
+    # the row and column flips fold each axis onto its first half; on a
+    # square the transpose also identifies (y, x) with (x, y)
+    half_rows, half_cols = -(-spec.rows // 2), -(-spec.cols // 2)
+    count = half_rows * (half_rows + 1) // 2 if spec.rows == spec.cols else half_rows * half_cols
+    assert max(reflection_orbits(spec)) + 1 == count
 
 
 def test_tampered_dual_weights_fail_the_certificate(monkeypatch):
@@ -358,6 +342,19 @@ def test_tampered_dual_weights_fail_the_certificate(monkeypatch):
         solve(GraphSpec.grid(6, 6), SignalParams(3, 2))
 
 
+def record_calls(monkeypatch, name):
+    """Wrap solver.<name> so that each call's last argument is recorded."""
+    calls = []
+    real = getattr(solver, name)
+
+    def wrapper(*args):
+        calls.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(solver, name, wrapper)
+    return calls
+
+
 @pytest.mark.parametrize("spec, params", [
     (GraphSpec.torus(6, 6), SignalParams(3, 2)),
     (GraphSpec.cycle_power(24, 1), SignalParams(5, 5)),
@@ -370,22 +367,28 @@ def test_only_grids_three_wide_run_the_lp(monkeypatch, spec, params):
     # ladder cost more than they save. The torus, path and grid searches
     # run 781, 2,237 and 1,011 nodes, past the allowance a wider grid
     # gets, yet the one search keeps the whole budget.
-    def forbidden(*args):
-        raise AssertionError("the LP ran")
-
-    budgets = []
-
-    def search(*args):
-        budgets.append(args[-1])
-        return real_search(*args)
-
-    real_search = solver._search
-    monkeypatch.setattr(solver, "_simplex", forbidden)
-    monkeypatch.setattr(solver, "_search", search)
+    lp_runs = record_calls(monkeypatch, "_simplex")
+    budgets = record_calls(monkeypatch, "_search")
     result = solve(spec, params)
     assert result.proof_of_optimality
     assert result.lower_bound == result.gamma
     assert budgets == [DEFAULT_NODE_BUDGET]
+    assert lp_runs == []
+
+
+@pytest.mark.parametrize("spec, orbits, budgets, lp_count", [
+    (GraphSpec.grid(6, 13), 21, [512, 4488, 3916], 1),
+    (GraphSpec.grid(3, 21), 22, [5000], 0),
+])
+def test_orbit_cap_is_inclusive(monkeypatch, spec, orbits, budgets, lp_count):
+    # one orbit under the cap the allowance cuts the search and the LP
+    # runs; one over it the search keeps the whole budget
+    assert max(reflection_orbits(spec)) + 1 == orbits
+    lp_runs = record_calls(monkeypatch, "_simplex")
+    searched = record_calls(monkeypatch, "_search")
+    solve(spec, SignalParams(2, 1), node_budget=5000)
+    assert searched == budgets
+    assert len(lp_runs) == lp_count
 
 
 def test_cut_past_the_allowance_reports_the_dual_bound():
@@ -398,10 +401,16 @@ def test_cut_past_the_allowance_reports_the_dual_bound():
     assert verify_witness(result, spec, params)
 
 
+# Nodes each run explores: pinned, since a change to the orbit map or
+# the LP that moves the LP's optimal point moves the ladder.
+LADDER_NODES = {(10, 3, 2): 13_305, (11, 3, 2): 8_808, (10, 2, 1): 52_305}
+
+
 @pytest.mark.parametrize("rows, t, r, gamma", [(10, 3, 2, 15), (11, 3, 2, 17), (10, 2, 1, 24)])
 def test_ladder_proves_grids_the_capacity_bound_could_not(rows, t, r, gamma):
     spec, params = GraphSpec.grid(rows, rows), SignalParams(t, r)
     result = solve(spec, params)
     assert result.proof_of_optimality
     assert result.gamma == result.lower_bound == gamma
+    assert result.nodes_explored == LADDER_NODES[rows, t, r]
     assert verify_witness(result, spec, params)
