@@ -18,7 +18,6 @@ import os
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
 from .errors import InputError
@@ -320,6 +319,10 @@ def cmd_sweep(args) -> Outcome:
         for n in range(1, args.n_max + 1)
     ]
     if threads > 1:
+        # Imported here: serial runs and every other command skip its
+        # import cost.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(_sweep_instance, jobs, chunksize=16))
     else:

@@ -27,12 +27,9 @@ it only if the fresh gain still leads. And once a frame has searched
 one candidate's subtree, that candidate stays banned until the frame
 pops, since every set holding it has been searched.
 
-`solve` escalates only when the uniform bound stalls. It first searches
-below the greedy cover with W = 1. On a grid at least three wide each
-way whose reflection group has at most ORBIT_CAP orbits, that search
-may spend only ESCALATION_ALLOWANCE nodes; if the allowance (not the
-caller's budget) cuts it, `solve` solves the LP dual exactly and climbs
-from its bound:
+`solve` picks its bound from the spec alone. On a grid at least three
+wide each way whose reflection group has at most ORBIT_CAP orbits, it
+solves the LP dual exactly and climbs from its bound:
   - The LP has one variable per orbit of the graph's reflections, read
     from the closed-form orbit map `graphs.reflection_orbits`, since
     averaging an optimum over them keeps it optimal: maximise
@@ -49,19 +46,20 @@ from its bound:
     capacity bound (uniform weights are a feasible dual point). Each
     rung searches for a set of lb towers (limit lb + 1) with the rest of
     the budget. A find is optimal; a rung that ends without one proves
-    gamma > lb, and lb grows by one until it meets the best set. A cut
-    without a find returns the best set so far with lb as its lower
-    bound. After a find the rung goes on below lb until it is exhausted
-    or cut; on a first rung that costs no node, since every frame's
-    bound is at least the root bound, and on later rungs it cost 0.2 to
-    9 % more nodes than stopping at the find (grid 12x12 at (3, 2):
-    618,006 against 568,218), which no benchmark workload reaches.
-Cycles and tori never escalate: they are vertex-transitive, so the
-uniform weights are already an optimal dual. Paths, grids one or two
-rows wide and grids above ORBIT_CAP do not escalate either: there the
-LP or the ladder was measured to cost more than the search it would
-save (see the constants). Only grids at least three wide build the
-orbit map, in O(V), so every other spec pays nothing.
+    gamma > lb, and lb grows by one until it meets the best set, at
+    first the greedy cover. A cut without a find returns the best set
+    so far with lb as its lower bound. After a find the rung goes on
+    below lb until it is exhausted or cut; on a first rung that costs
+    no node, since every frame's bound is at least the root bound, and
+    on later rungs it cost 0.2 to 9 % more nodes than stopping at the
+    find (grid 12x12 at (3, 2): 617,494 against 567,706), which no
+    benchmark workload reaches.
+Every other spec gets one search below the greedy cover with W = 1.
+Cycles and tori are vertex-transitive, so the uniform weights are
+already an optimal dual. On paths, grids one or two rows wide and grids
+above ORBIT_CAP the LP or the ladder was measured to cost more than the
+search it would save (see ORBIT_CAP). Only grids at least three wide
+build the orbit map, in O(V), so every other spec pays nothing.
 
 `_search` knows nothing of the graph, the greedy or the audit: it
 reads the cover table, r, the bound (W, D), the limit and the node
@@ -94,24 +92,21 @@ from .graphs import Family, GraphSpec, format_graph_spec, near, reflection_orbit
 from .signal import SignalParams, TowerSet, is_broadcasting, weighted_bound
 
 DEFAULT_NODE_BUDGET = 2_000_000
-# Nodes the uniform search may spend on an eligible grid before the LP
-# is solved: about 1.5 ms of search, the order of what the LP costs at
-# 6 to 21 orbits (0.1 to 4 ms), so a search that would have finished
-# soon after loses little.
-ESCALATION_ALLOWANCE = 512
-# Most reflection orbits (LP variables) for which a stalled grid search
-# solves the LP; grid 12x12 has 21. Measured under CPython 3.11 on a
-# 2-vCPU VM against the search without escalation, on every grid
-# R x C with R, C >= 3 and at most 21 orbits, 2 <= t <= 5, 1 <= r <= t
-# and a budget of 200,000 nodes: 1,260 of the 1,680 cases escalate,
-# none loses a proof, unproved cases fall from 442 to 116, and the
-# escalated ones take 92 s in all instead of 436 s. 34 run slower, by
-# at most 4.5 ms (grid 17x3 at (5, 3), 4.0 to 8.5 ms). Nothing above
-# 21 orbits was compared. Paths and grids one or two rows wide never
-# escalate: on grid 2x33 at (2, 1) the ladder needs more than 200,000
-# nodes where the search below the greedy cover proves 17 in 59,921,
-# and on paths with n = 25 to 72, 196 of the 238 searches past the
-# allowance ran slower with the LP (1.97 s in all, 3.18 s with it).
+# Most reflection orbits (LP variables) for which a grid solves the LP;
+# grid 12x12 has 21. Measured under CPython 3.11 on a 2-vCPU VM, on
+# every grid R x C with R, C >= 3 and at most 21 orbits, 2 <= t <= 5,
+# 1 <= r <= t and a budget of 200,000 nodes, two runs: every case ends
+# with the same gamma and lower bound as when a 512-node search under
+# the capacity bound runs first, and 1,564 of the 1,680 prove. The
+# 1,144 that search could not prove take 66.8 to 70.0 s in all instead
+# of 70.7 to 76.0 s; the 420 it proved take 0.87 to 0.94 s instead of
+# 0.62 to 0.69 s, at worst 3.1 to 16.7 ms (grid 20x3 at (5, 2)).
+# Nothing above 21 orbits was compared. Paths and grids one or two rows
+# wide never run it: on grid 2x33 at (2, 1) the ladder needs more than
+# 200,000 nodes where the search below the greedy cover proves 17 in
+# 59,921, and on paths with n = 25 to 72, 196 of the 238 searches that
+# needed more than 512 nodes ran slower with the LP (1.97 s in all,
+# 3.18 s with it).
 ORBIT_CAP = 21
 
 
@@ -121,14 +116,14 @@ class SolveResult:
 
     lower_bound is the proved bound: gamma when the search space was
     fully exhausted below gamma, and otherwise the capacity bound, or on
-    an escalated run the certified LP-dual bound as raised by finished
-    ladder rungs; proof_of_optimality says whether it meets gamma. A
-    proved witness is the greedy cover unless the search found a smaller
-    set, and then the smallest it found (on an escalated run, the first
-    set the ladder found). On budget exhaustion gamma/witness hold the
-    best set found so far, at worst the greedy cover; they are upper
-    bounds, never wrong answers presented as optimal. nodes_explored
-    never exceeds the budget.
+    a grid that runs the LP the certified LP-dual bound as raised by
+    finished ladder rungs; proof_of_optimality says whether it meets
+    gamma. A proved witness is the greedy cover unless the search found
+    a smaller set, and then the smallest it found (on a grid that runs
+    the LP, the first set the ladder found). On budget exhaustion
+    gamma/witness hold the best set found so far, at worst the greedy
+    cover; they are upper bounds, never wrong answers presented as
+    optimal. nodes_explored never exceeds the budget.
     """
 
     gamma: int
@@ -330,30 +325,24 @@ def solve(spec: GraphSpec, params: SignalParams, node_budget: int = DEFAULT_NODE
     # cover[u]: (vertex, gain) for every vertex a tower at u would serve,
     # which are also the candidate towers that would raise u's signal.
     cover = [[(u, t - d) for u, d in near(spec, v, t - 1)] for v in range(nv)]
+    # supply[v]: the capped signal v collects from every tower at once.
     supply = [sum(min(r, g) for _, g in pairs) for pairs in cover]
+    v = next((v for v, s in enumerate(supply) if s < r), None)
+    if v is not None:
+        raise InputError(f"infeasible: vertex {v} cannot collect {r} even from all towers")
 
-    if t < r:
-        for v in range(nv):
-            if sum(g for _, g in cover[v]) < r:
-                raise InputError(
-                    f"infeasible: vertex {v} cannot collect {r} even from all towers"
-                )
-
-    greedy = _greedy_cover(cover, supply, r)
-    # The capacity bound: weight 1 on every vertex.
-    lb = -(-r * nv // max(supply))
-    budget = node_budget
+    best = _greedy_cover(cover, supply, r)
+    orbit = None
     if spec.family is Family.GRID and min(spec.rows, spec.cols) >= 3:
         orbit = reflection_orbits(spec)
-        if max(orbit) + 1 <= ORBIT_CAP:
-            budget = min(node_budget, ESCALATION_ALLOWANCE)
-    found, nodes, cut = _search(cover, r, [1] * nv, max(supply), len(greedy), budget)
-    best = greedy if found is None else found
-    if not cut:
-        lb = len(best)
-    elif budget < node_budget:
-        # The allowance, not the caller's budget, cut the search: climb
-        # from the certified LP-dual bound, one limit at a time.
+    if orbit is None or max(orbit) + 1 > ORBIT_CAP:
+        found, nodes, cut = _search(cover, r, [1] * nv, max(supply), len(best), node_budget)
+        best = best if found is None else found
+        # The capacity bound: weight 1 on every vertex.
+        lb = -(-r * nv // max(supply)) if cut else len(best)
+    else:
+        # Climb from the certified LP-dual bound, one limit at a time.
+        nodes = 0
         value, weights = _dual_weights(orbit, cover, r)
         lb, scale = weighted_bound(spec, params, weights)
         if lb != ceil(value):

@@ -1,5 +1,6 @@
 """Command-line surface: payloads, files, exit codes, determinism."""
 
+import concurrent.futures
 import contextlib
 import io
 import json
@@ -92,14 +93,14 @@ def test_solve_budget_exhaustion_exits_3():
     assert payload["nodes_explored"] == 3
     assert payload["lower_bound"] == 2
     assert err == "node budget 3 exhausted after 3 nodes; 2 <= gamma <= 3\n"
-    # past the escalation allowance the LP dual lifts the bound above
-    # the capacity bound, ceil(2 * 64 / 18) = 8
-    code, out, err = run(["solve", "grid:8x8", "-t", "3", "-r", "2", "--budget", "520"])
+    # on a grid cut before the ladder's first find, the LP dual lifts
+    # the bound above the capacity bound, ceil(2 * 64 / 18) = 8
+    code, out, err = run(["solve", "grid:8x8", "-t", "3", "-r", "2", "--budget", "400"])
     assert code == 3
     payload = json.loads(out)
     assert (payload["lower_bound"], payload["gamma"]) == (10, 12)
     assert payload["proof_of_optimality"] is False
-    assert err == "node budget 520 exhausted after 520 nodes; 10 <= gamma <= 12\n"
+    assert err == "node budget 400 exhausted after 400 nodes; 10 <= gamma <= 12\n"
 
 
 def test_solve_deep_path_runs_without_recursion():
@@ -402,7 +403,7 @@ def test_sweep_threads_rejected_below_one_and_clamped_to_cpus(monkeypatch):
         def map(self, fn, jobs, chunksize=1):
             return map(fn, jobs)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
     base = ["sweep", "path", "--n-max", "3", "--k-max", "1", "--t-max", "1"]
     for bad in ("0", "-5"):

@@ -115,7 +115,7 @@ def test_engine_handles_demand_above_strength():
 
 
 def test_infeasible_demand_is_an_input_error():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^infeasible: vertex 0 cannot collect 2 even from all towers$"):
         solve(GraphSpec.path_power(3, 1), SignalParams(1, 2))
 
 
@@ -148,11 +148,11 @@ def test_budget_exhaustion_is_explicit():
 # grid-search benchmark jobs. A prune may save nodes but must not move
 # these witnesses; the node counts move only with the search itself.
 PINNED_GRID_OPTIMA = {
-    (6, 6, 3, 2): (6, (0, 4, 14, 23, 24, 33), 560),
-    (5, 8, 3, 2): (7, (0, 6, 11, 16, 29, 31, 34), 1597),
-    (6, 7, 3, 2): (7, (1, 5, 17, 21, 27, 29, 39), 1043),
-    (6, 6, 4, 3): (4, (2, 17, 18, 33), 660),
-    (7, 7, 2, 1): (12, (1, 5, 10, 14, 20, 23, 25, 28, 34, 38, 43, 47), 891),
+    (6, 6, 3, 2): (6, (0, 4, 14, 23, 24, 33), 48),
+    (5, 8, 3, 2): (7, (0, 6, 11, 16, 29, 31, 34), 1085),
+    (6, 7, 3, 2): (7, (1, 5, 17, 21, 27, 29, 39), 531),
+    (6, 6, 4, 3): (4, (2, 17, 18, 33), 148),
+    (7, 7, 2, 1): (12, (1, 5, 10, 14, 20, 23, 25, 28, 34, 38, 43, 47), 379),
 }
 
 
@@ -214,10 +214,12 @@ def test_budget_cut_witness_always_audits(case):
 @example((GraphSpec.path_power(10, 2), SignalParams(3, 2), 9, 10))
 @example((GraphSpec.grid(8, 8), SignalParams(3, 2), 400, 600))
 @example((GraphSpec.grid(8, 8), SignalParams(3, 2), 600, 900))
+@example((GraphSpec.grid(8, 8), SignalParams(3, 2), 460, 461))
 def test_larger_budget_never_returns_a_worse_or_tied_other_set(case):
     # each set the search records is smaller than the one before, and a
     # ladder rung records only sets below the best, so a larger budget
-    # keeps the same set or a smaller one, also across the allowance
+    # keeps the same set or a smaller one, also across the ladder's
+    # first find (grid 8x8 at (3, 2): 12 towers at 460 nodes, 10 at 461)
     spec, params, budget, larger = case
     try:
         result = solve(spec, params, node_budget=budget)
@@ -364,9 +366,8 @@ def record_calls(monkeypatch, name):
 def test_only_grids_three_wide_run_the_lp(monkeypatch, spec, params):
     # Tori and cycles are vertex-transitive: the uniform weights are
     # already an optimal dual. On paths and two-row grids the LP and the
-    # ladder cost more than they save. The torus, path and grid searches
-    # run 781, 2,237 and 1,011 nodes, past the allowance a wider grid
-    # gets, yet the one search keeps the whole budget.
+    # ladder cost more than they save, so each runs one search with the
+    # whole budget.
     lp_runs = record_calls(monkeypatch, "_simplex")
     budgets = record_calls(monkeypatch, "_search")
     result = solve(spec, params)
@@ -377,12 +378,12 @@ def test_only_grids_three_wide_run_the_lp(monkeypatch, spec, params):
 
 
 @pytest.mark.parametrize("spec, orbits, budgets, lp_count", [
-    (GraphSpec.grid(6, 13), 21, [512, 4488, 3916], 1),
+    (GraphSpec.grid(6, 13), 21, [5000, 4428], 1),
     (GraphSpec.grid(3, 21), 22, [5000], 0),
 ])
 def test_orbit_cap_is_inclusive(monkeypatch, spec, orbits, budgets, lp_count):
-    # one orbit under the cap the allowance cuts the search and the LP
-    # runs; one over it the search keeps the whole budget
+    # one orbit under the cap the LP runs first and the ladder's rungs
+    # share the budget; one over it one search keeps the whole budget
     assert max(reflection_orbits(spec)) + 1 == orbits
     lp_runs = record_calls(monkeypatch, "_simplex")
     searched = record_calls(monkeypatch, "_search")
@@ -391,19 +392,32 @@ def test_orbit_cap_is_inclusive(monkeypatch, spec, orbits, budgets, lp_count):
     assert len(lp_runs) == lp_count
 
 
-def test_cut_past_the_allowance_reports_the_dual_bound():
+def test_eligible_grid_starts_from_the_lp_bound(monkeypatch):
+    # the certified bound meets the greedy cover, so no search runs; a
+    # search under the capacity bound first would spend 45 nodes here
+    lp_runs = record_calls(monkeypatch, "_simplex")
+    searched = record_calls(monkeypatch, "_search")
+    result = solve(GraphSpec.grid(5, 10), SignalParams(5, 2))
+    assert result.proof_of_optimality
+    assert result.gamma == 3
+    assert result.nodes_explored == 0
+    assert len(lp_runs) == 1
+    assert searched == []
+
+
+def test_cut_before_the_first_find_reports_the_dual_bound():
     # capacity bound ceil(2 * 64 / 18) = 8; the LP dual certifies 10 = gamma
     spec, params = GraphSpec.grid(8, 8), SignalParams(3, 2)
-    result = solve(spec, params, node_budget=520)
+    result = solve(spec, params, node_budget=400)
     assert not result.proof_of_optimality
-    assert result.nodes_explored == 520
+    assert result.nodes_explored == 400
     assert result.lower_bound == 10 < result.gamma
     assert verify_witness(result, spec, params)
 
 
 # Nodes each run explores: pinned, since a change to the orbit map or
 # the LP that moves the LP's optimal point moves the ladder.
-LADDER_NODES = {(10, 3, 2): 13_305, (11, 3, 2): 8_808, (10, 2, 1): 52_305}
+LADDER_NODES = {(10, 3, 2): 12_793, (11, 3, 2): 8_296, (10, 2, 1): 51_793}
 
 
 @pytest.mark.parametrize("rows, t, r, gamma", [(10, 3, 2, 15), (11, 3, 2, 17), (10, 2, 1, 24)])
