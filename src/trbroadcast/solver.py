@@ -13,8 +13,7 @@ of sum_v min(r, g_uv) * W_v, so a branch still needs ceil(sum_v W_v *
 is deficient. W = 1 everywhere, with D one tower's largest capped
 supply, is the capacity bound r * V / cap. The best W is an optimal
 dual of the fractional relaxation (for r = 1, fractional domination),
-which can put weight 0 on some vertices; so the cover test reads the
-plain capped deficit, not the weighted one.
+which can put weight 0 on some vertices.
 
 One rule keeps the search off sets it cannot improve on: it looks only
 for a set smaller than the best one so far, and checks this before it
@@ -27,39 +26,43 @@ it only if the fresh gain still leads. And once a frame has searched
 one candidate's subtree, that candidate stays banned until the frame
 pops, since every set holding it has been searched.
 
-`solve` picks its bound from the spec alone. On a grid at least three
-wide each way whose reflection group has at most ORBIT_CAP orbits, it
-solves the LP dual exactly and climbs from its bound:
-  - The LP has one variable per orbit of the graph's reflections, read
-    from the closed-form orbit map `graphs.reflection_orbits`, since
-    averaging an optimum over them keeps it optimal: maximise
-    r * sum_O |O| * w_O subject to sum_O A[u][O] * w_O <= 1 for the
-    least vertex u of each orbit, with A[u][O]
-    = sum over v in O of min(r, g_uv). `_simplex` solves it exactly
-    by integer pivoting; w is scaled to integers W by the least common
-    denominator.
-  - `signal.weighted_bound` computes D and ceil(r * sum(W) / D) from
-    `graphs.near`, sharing no code with the simplex or the cover table.
-    `solve` raises RuntimeError unless that bound equals the ceiling of
-    the LP optimum, and the ladder prunes with this certified D.
-  - The ladder: lb starts at the certified bound, which is at least the
-    capacity bound (uniform weights are a feasible dual point). Each
-    rung searches for a set of lb towers (limit lb + 1) with the rest of
-    the budget. A find is optimal; a rung that ends without one proves
-    gamma > lb, and lb grows by one until it meets the best set, at
-    first the greedy cover. A cut without a find returns the best set
-    so far with lb as its lower bound. After a find the rung goes on
-    below lb until it is exhausted or cut; on a first rung that costs
-    no node, since every frame's bound is at least the root bound, and
-    on later rungs it cost 0.2 to 9 % more nodes than stopping at the
-    find (grid 12x12 at (3, 2): 617,494 against 567,706), which no
-    benchmark workload reaches.
-Every other spec gets one search below the greedy cover with W = 1.
-Cycles and tori are vertex-transitive, so the uniform weights are
-already an optimal dual. On paths, grids one or two rows wide and grids
-above ORBIT_CAP the LP or the ladder was measured to cost more than the
-search it would save (see ORBIT_CAP). Only grids at least three wide
-build the orbit map, in O(V), so every other spec pays nothing.
+`solve` picks its bound from the spec alone. Each bound gives the
+weights (W, D), a first lower bound lb and a first limit:
+  - On a grid at least three wide each way whose reflection group has
+    at most ORBIT_CAP orbits, the certified LP-dual bound, with limit
+    lb + 1: a ladder that climbs from the bound.
+    - The LP has one variable per orbit of the graph's reflections, read
+      from the closed-form orbit map `graphs.reflection_orbits`, since
+      averaging an optimum over them keeps it optimal: maximise
+      r * sum_O |O| * w_O subject to sum_O A[u][O] * w_O <= 1 for the
+      least vertex u of each orbit, with A[u][O]
+      = sum over v in O of min(r, g_uv). `_simplex` solves it exactly
+      by integer pivoting; w is scaled to integers W by the least common
+      denominator.
+    - `signal.weighted_bound` computes D and ceil(r * sum(W) / D) from
+      `graphs.near`, sharing no code with the simplex or the cover table.
+      `solve` raises RuntimeError unless that bound equals the ceiling of
+      the LP optimum, and the ladder prunes with this certified D.
+  - Every other spec: the capacity bound, W = 1 and D the largest
+    capped supply, with limit the greedy cover's size: one rung below
+    it. Cycles and tori are vertex-transitive, so the uniform weights
+    are already an optimal dual. On paths, grids one or two rows wide
+    and grids above ORBIT_CAP the LP or the ladder was measured to cost
+    more than the search it would save (see ORBIT_CAP). Only grids at
+    least three wide build the orbit map, in O(V), so every other spec
+    pays nothing.
+One loop runs the rungs while lb is below the best set, at first the
+greedy cover, so a bound that meets the greedy cover proves it with no
+search. Each rung searches below its limit with the rest of the
+budget. A cut ends the loop and returns the best set so far with lb as
+its lower bound. An uncut rung proves that no set is smaller than the
+best one or than its limit, so lb becomes the lesser of the two and the
+next limit is lb + 1. On the ladder a find is optimal, and a rung
+without one proves gamma > lb. After a find the rung goes on below lb
+until it is exhausted or cut; on a first rung that costs no node, since
+every frame's bound is at least the root bound, and on later rungs it
+cost 0.2 to 9 % more nodes than stopping at the find (grid 12x12 at
+(3, 2): 617,494 against 567,706), which no benchmark workload reaches.
 
 `_search` knows nothing of the graph, the greedy or the audit: it
 reads the cover table, r, the bound (W, D), the limit and the node
@@ -67,8 +70,9 @@ budget. It is one loop over an explicit stack: `towers` holds the
 towers on the current branch and `frames` the branch vertex, next
 candidate index and banned towers at each depth, so depth is not
 limited by recursion. Placing or removing a tower walks its `cover`
-list, updating the raw signals and the plain and weighted capped
-deficits in place.
+list, updating the raw signals and the weighted capped deficit in
+place. A sentinel raw[V] = 0, never >= r, ends the scan for the first
+deficient vertex; reaching it is the cover test.
 
 Set-up builds one table, `cover`, from one radius t - 1 kernel call
 (`graphs.near`) per vertex, so it costs V x |ball| entries rather than
@@ -93,20 +97,14 @@ from .signal import SignalParams, TowerSet, is_broadcasting, weighted_bound
 
 DEFAULT_NODE_BUDGET = 2_000_000
 # Most reflection orbits (LP variables) for which a grid solves the LP;
-# grid 12x12 has 21. Measured under CPython 3.11 on a 2-vCPU VM, on
-# every grid R x C with R, C >= 3 and at most 21 orbits, 2 <= t <= 5,
-# 1 <= r <= t and a budget of 200,000 nodes, two runs: every case ends
-# with the same gamma and lower bound as when a 512-node search under
-# the capacity bound runs first, and 1,564 of the 1,680 prove. The
-# 1,144 that search could not prove take 66.8 to 70.0 s in all instead
-# of 70.7 to 76.0 s; the 420 it proved take 0.87 to 0.94 s instead of
-# 0.62 to 0.69 s, at worst 3.1 to 16.7 ms (grid 20x3 at (5, 2)).
-# Nothing above 21 orbits was compared. Paths and grids one or two rows
-# wide never run it: on grid 2x33 at (2, 1) the ladder needs more than
-# 200,000 nodes where the search below the greedy cover proves 17 in
-# 59,921, and on paths with n = 25 to 72, 196 of the 238 searches that
-# needed more than 512 nodes ran slower with the LP (1.97 s in all,
-# 3.18 s with it).
+# grid 12x12 has 21. On every grid R x C with R, C >= 3 and at most 21
+# orbits, 2 <= t <= 5, 1 <= r <= t and a budget of 200,000 nodes, 1,564
+# of the 1,680 cases prove (CPython 3.11, 2-vCPU VM); nothing above 21
+# orbits was compared. Paths and grids one or two rows wide never run
+# it: on grid 2x33 at (2, 1) the ladder needs more than 200,000 nodes
+# where the search below the greedy cover proves 17 in 59,921, and on
+# paths with n = 25 to 72, 196 of the 238 searches that needed more
+# than 512 nodes ran slower with the LP (1.97 s in all, 3.18 s with it).
 ORBIT_CAP = 21
 
 
@@ -114,11 +112,13 @@ ORBIT_CAP = 21
 class SolveResult:
     """Solver outcome.
 
-    lower_bound is the proved bound: gamma when the search space was
-    fully exhausted below gamma, and otherwise the capacity bound, or on
-    a grid that runs the LP the certified LP-dual bound as raised by
-    finished ladder rungs; proof_of_optimality says whether it meets
-    gamma. A proved witness is the greedy cover unless the search found
+    lower_bound is the proved bound: gamma when the bound the spec
+    starts from meets the best set or an uncut rung proved it, and
+    otherwise that starting bound (the capacity bound, or on a grid
+    that runs the LP the certified LP-dual bound) as raised by finished
+    ladder rungs; proof_of_optimality says whether it meets gamma. A
+    starting bound that meets the greedy cover proves it in 0 nodes.
+    A proved witness is the greedy cover unless the search found
     a smaller set, and then the smallest it found (on a grid that runs
     the LP, the first set the ladder found). On budget exhaustion
     gamma/witness hold the best set found so far, at worst the greedy
@@ -169,12 +169,12 @@ def _search(cover: list[list[tuple[int, int]]], r: int, weights: list[int], scal
     """
     nv = len(cover)
     best = None
-    raw = [0] * nv
+    # raw[nv] is a sentinel that stays 0 < r: the scan for a deficient
+    # vertex stops there exactly when every vertex is covered.
+    raw = [0] * (nv + 1)
     # banned[u]: u is on the branch or an earlier sibling of a frame on it.
     banned = bytearray(nv)
-    # The remaining capped demand, plain (the cover test) and weighted
-    # (the bound).
-    deficit = nv * r
+    # The remaining weighted capped demand, for the bound.
     wdef = sum(weights) * r
     towers: list[int] = []
     # frames[d]: [branch vertex, next index into its cover list, the
@@ -184,16 +184,16 @@ def _search(cover: list[list[tuple[int, int]]], r: int, weights: list[int], scal
     lo = 0
     while nodes < node_budget:
         nodes += 1
-        if deficit == 0:
+        # Any completion must add a tower within reach of the first
+        # deficient vertex; signal only grows along a branch, so the
+        # scan never needs to back up past lo.
+        v = lo
+        while raw[v] >= r:
+            v += 1
+        if v == nv:
             best = towers.copy()
             limit = len(towers)
         else:
-            # Any completion must add a tower within reach of the first
-            # deficient vertex; signal only grows along a branch, so the
-            # scan never needs to back up past lo.
-            v = lo
-            while raw[v] >= r:
-                v += 1
             frames.append([v, 0, []])
         # Backtrack to the deepest frame that may still place a tower
         # below the limit and has an untried candidate, and place it;
@@ -212,9 +212,7 @@ def _search(cover: list[list[tuple[int, int]]], r: int, weights: list[int], scal
                     after = raw[w] - g
                     raw[w] = after
                     if after < r:
-                        gain = g if g < r - after else r - after
-                        deficit += gain
-                        wdef += weights[w] * gain
+                        wdef += weights[w] * (g if g < r - after else r - after)
             candidates = cover[v]
             while i < len(candidates) and banned[candidates[i][0]]:
                 i += 1
@@ -229,9 +227,7 @@ def _search(cover: list[list[tuple[int, int]]], r: int, weights: list[int], scal
                     before = raw[w]
                     raw[w] = before + g
                     if before < r:
-                        gain = g if g < r - before else r - before
-                        deficit -= gain
-                        wdef -= weights[w] * gain
+                        wdef -= weights[w] * (g if g < r - before else r - before)
                 lo = v
                 break
             for u in tried:
@@ -336,13 +332,12 @@ def solve(spec: GraphSpec, params: SignalParams, node_budget: int = DEFAULT_NODE
     if spec.family is Family.GRID and min(spec.rows, spec.cols) >= 3:
         orbit = reflection_orbits(spec)
     if orbit is None or max(orbit) + 1 > ORBIT_CAP:
-        found, nodes, cut = _search(cover, r, [1] * nv, max(supply), len(best), node_budget)
-        best = best if found is None else found
-        # The capacity bound: weight 1 on every vertex.
-        lb = -(-r * nv // max(supply)) if cut else len(best)
+        # The capacity bound, weight 1 on every vertex: one rung below
+        # the greedy cover.
+        weights, scale = [1] * nv, max(supply)
+        lb, limit = -(-r * nv // scale), len(best)
     else:
-        # Climb from the certified LP-dual bound, one limit at a time.
-        nodes = 0
+        # The certified LP-dual bound: a ladder of rungs from lb up.
         value, weights = _dual_weights(orbit, cover, r)
         lb, scale = weighted_bound(spec, params, weights)
         if lb != ceil(value):
@@ -350,15 +345,18 @@ def solve(spec: GraphSpec, params: SignalParams, node_budget: int = DEFAULT_NODE
                 f"LP dual bound {ceil(value)} failed its certificate on "
                 f"{format_graph_spec(spec)} t={t} r={r}"
             )
-        while lb < len(best):
-            found, spent, cut = _search(cover, r, weights, scale, lb + 1, node_budget - nodes)
-            nodes += spent
-            if found is not None:
-                best = found
-            elif cut:
-                break
-            else:
-                lb += 1
+        limit = lb + 1
+    nodes = 0
+    while lb < len(best):
+        found, spent, cut = _search(cover, r, weights, scale, limit, node_budget - nodes)
+        nodes += spent
+        best = best if found is None else found
+        if cut:
+            break
+        # An uncut rung proves that no set is smaller than the best one
+        # or than its limit.
+        lb = min(limit, len(best))
+        limit = lb + 1
 
     witness = TowerSet(spec, tuple(sorted(best)))
     if not is_broadcasting(witness, params).ok:

@@ -22,7 +22,7 @@ from trbroadcast import (
     solve,
     verify_witness,
 )
-from trbroadcast.graphs import reflection_orbits
+from trbroadcast.graphs import Family, reflection_orbits
 from trbroadcast.signal import weighted_bound
 
 
@@ -92,8 +92,28 @@ def test_determinism_including_node_counts():
     second = solve(spec, params)
     assert first == second
     assert first.nodes_explored == 10
-    # the greedy cover meets the capacity bound: the root node proves it
-    assert solve(GraphSpec.cycle_power(12, 1), params).nodes_explored == 1
+    # the greedy cover meets the capacity bound, which proves it unsearched
+    assert solve(GraphSpec.cycle_power(12, 1), params).nodes_explored == 0
+
+
+def sweep_node_counts():
+    """nodes_explored on each instance of `sweep both --n-max 24
+    --k-max 3 --t-max 5`: paths and cycles, n <= 24, k <= 3, t <= 5,
+    r <= t."""
+    return [solve(power(n, k), SignalParams(t, r)).nodes_explored
+            for power in (GraphSpec.path_power, GraphSpec.cycle_power)
+            for k in range(1, 4) for t in range(1, 6) for r in range(1, t + 1)
+            for n in range(1, 25)]
+
+
+def test_sweep_node_counts_are_pinned():
+    # the total moves only with the search itself; 1,752 instances have a
+    # greedy cover the size of the capacity bound and search nothing
+    first = sweep_node_counts()
+    assert first == sweep_node_counts()
+    assert len(first) == 2_160
+    assert sum(first) == 14_429
+    assert first.count(0) == 1_752
 
 
 def test_gamma_monotone_in_strength_and_size():
@@ -366,14 +386,16 @@ def record_calls(monkeypatch, name):
 def test_only_grids_three_wide_run_the_lp(monkeypatch, spec, params):
     # Tori and cycles are vertex-transitive: the uniform weights are
     # already an optimal dual. On paths and two-row grids the LP and the
-    # ladder cost more than they save, so each runs one search with the
-    # whole budget.
+    # ladder cost more than they save, so each runs at most one search
+    # with the whole budget, and none where the capacity bound already
+    # meets the greedy cover, as on every cycle power with n < 60,
+    # k <= 3 and t <= 6.
     lp_runs = record_calls(monkeypatch, "_simplex")
-    budgets = record_calls(monkeypatch, "_search")
+    searched = record_calls(monkeypatch, "_search")
     result = solve(spec, params)
     assert result.proof_of_optimality
     assert result.lower_bound == result.gamma
-    assert budgets == [DEFAULT_NODE_BUDGET]
+    assert searched == ([] if spec.family is Family.CYCLE else [DEFAULT_NODE_BUDGET])
     assert lp_runs == []
 
 
@@ -392,16 +414,22 @@ def test_orbit_cap_is_inclusive(monkeypatch, spec, orbits, budgets, lp_count):
     assert len(lp_runs) == lp_count
 
 
-def test_eligible_grid_starts_from_the_lp_bound(monkeypatch):
-    # the certified bound meets the greedy cover, so no search runs; a
-    # search under the capacity bound first would spend 45 nodes here
+@pytest.mark.parametrize("text, t, r, gamma, lp_count", [
+    # the certified LP bound; a search under the capacity bound first
+    # would spend 45 nodes here
+    ("grid:5x10", 5, 2, 3, 1),
+    # the capacity bound, on a cycle and on an audit-large torus
+    ("cycle:n=12,k=1", 3, 2, 3, 0),
+    ("torus:15x15", 15, 2, 2, 0),
+])
+def test_bound_meeting_the_greedy_cover_runs_no_search(monkeypatch, text, t, r, gamma, lp_count):
     lp_runs = record_calls(monkeypatch, "_simplex")
     searched = record_calls(monkeypatch, "_search")
-    result = solve(GraphSpec.grid(5, 10), SignalParams(5, 2))
+    result = solve(parse_graph_spec(text), SignalParams(t, r))
     assert result.proof_of_optimality
-    assert result.gamma == 3
+    assert result.gamma == gamma
     assert result.nodes_explored == 0
-    assert len(lp_runs) == 1
+    assert len(lp_runs) == lp_count
     assert searched == []
 
 
