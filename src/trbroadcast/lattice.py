@@ -11,12 +11,16 @@ tower at u delivers max(0, t - |u - v|_1) to the cell v. One field of
 sums capped at r per tower serves every audit. It drives the excess
 accounting and also decides broadcasting: a cell whose raw sum is below
 r hears every tower below r, so no cap applies there and its capped sum
-is its raw sum.
+is its raw sum. The field is a flat list over the transversal of
+fundamental_domain, stamped as 2t - 1 row slices per tower offset: the
+Hermite normal form of the lattice (see _fold) sends each row of a
+diamond onto one cyclic row of the transversal.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -28,6 +32,11 @@ Vec = tuple[int, int]
 # Window orientations: the unit step u from the tower towards its window.
 # N/W/S are the successive quarter turns of E.
 _WINDOW_FRAMES = {"E": (1, 0), "N": (0, 1), "W": (-1, 0), "S": (0, -1)}
+
+# Largest fundamental domain whose signal field is built, in cells. It
+# admits t3_tiling(t) up to t = 1,449; the benchmark's largest domain
+# has 19,801 cells.
+MAX_FIELD_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -136,32 +145,90 @@ def fundamental_domain(config: LatticeConfig) -> list[Vec]:
     return [(x, y) for y in range(s) for x in range(p1)]
 
 
-def _signal_field(config: LatticeConfig, params: SignalParams) -> dict[Vec, int]:
-    """Capped signal of every cell, keyed by its representative.
+def _fold(config: LatticeConfig) -> tuple[int, int, int]:
+    """Hermite normal form of the lattice: (p1, s, j), with 0 <= j < p1.
 
-    Stamps min(r, t - d) over the radius t - 1 diamond of each tower
-    offset and folds every stamped point onto its cell with
-    reduce_point; a diamond wider than the domain adds onto the same
-    cell once per translate it covers. The dict lists the
-    representatives of fundamental_domain in its order. It decides
-    broadcasting as well as excess: a value below r is the cell's raw
-    sum, and a value of at least r means the raw sum is too. The cost
-    is offsets x (2t^2 - 2t + 1) stamps plus one entry per cell,
-    whatever the caller reads afterwards: there is no early exit.
+    The lattice is spanned by (p1, 0) and (j, s). s = gcd(a_y, b_y) is
+    the least positive y of a lattice point, and one extended gcd
+    writes it as u*a_y + v*b_y, so u*a + v*b = (j mod p1, s). The
+    lattice points on the x-axis are the multiples of (p1, 0), with
+    p1 = |det| / s the x-axis period of axis_periods.
     """
+    (ax, ay), (bx, by) = config.a, config.b
+    g, g_next, u, u_next, v, v_next = ay, by, 1, 0, 0, 1
+    while g_next:
+        q = g // g_next
+        g, g_next = g_next, g - q * g_next
+        u, u_next = u_next, u - q * u_next
+        v, v_next = v_next, v - q * v_next
+    if g < 0:
+        g, u, v = -g, -u, -v
+    p1 = config.index // g
+    return p1, g, (u * ax + v * bx) % p1
+
+
+def _cell(config: LatticeConfig, point: Vec) -> int:
+    """Position of point's cell in fundamental_domain order.
+
+    Subtracting q*(j, s) brings the y coordinate into [0, s), and the x
+    coordinate then reduces modulo p1 (see _fold).
+    """
+    p1, s, j = _fold(config)
+    q, y = divmod(point[1], s)
+    return y * p1 + (point[0] - q * j) % p1
+
+
+def _signal_field(config: LatticeConfig, params: SignalParams) -> list[int]:
+    """Capped signal of every cell, in fundamental_domain order.
+
+    The transversal is s rows of p1 cells (see _fold), and one row of
+    a tower's radius t - 1 diamond, at height dy with h = t - |dy|,
+    lands on one cyclic transversal row. So each of the 2t - 1 rows of
+    each offset folds its left end once and adds its capped tent
+    min(r, h - |dx|) as at most ceil((2h - 1)/p1) + 1 slices; a row
+    wider than p1 wraps and adds onto the same cell once per translate
+    it covers. The field decides broadcasting as well as excess: a
+    value below r is the cell's raw sum, and a value of at least r
+    means the raw sum is too. The cost is 2t - 1 row slices per offset
+    on a flat list of |det| cells, whatever the caller reads
+    afterwards: there is no early exit. A domain of more than
+    MAX_FIELD_CELLS cells is refused before anything is allocated.
+    """
+    cells = config.index
+    if cells > MAX_FIELD_CELLS:
+        raise InputError(
+            f"fundamental domain has |det| = {cells} cells, "
+            f"over the limit of {MAX_FIELD_CELLS}"
+        )
     t, r = params.t, params.r
-    capped = {reduce_point(config, cell): 0 for cell in fundamental_domain(config)}
+    p1, s, j = _fold(config)
+    up = [min(r, i) for i in range(1, t + 1)]
+    down = up[::-1]
+    field = [0] * cells
     for ox, oy in config.offsets:
         for dy in range(1 - t, t):
-            reach = t - 1 - abs(dy)
-            for dx in range(-reach, reach + 1):
-                capped[reduce_point(config, (ox + dx, oy + dy))] += min(r, t - abs(dx) - abs(dy))
-    return capped
+            h = t - abs(dy)
+            tent = up[:h] + down[t - h + 1:]
+            q, y = divmod(oy + dy, s)
+            row = y * p1
+            x = (ox - h + 1 - q * j) % p1
+            k = 0
+            while k < len(tent):
+                c = min(len(tent) - k, p1 - x)
+                a = row + x
+                field[a:a + c] = map(operator.add, field[a:a + c], tent[k:k + c])
+                k += c
+                x = 0
+    return field
 
 
 def excess_at(config: LatticeConfig, params: SignalParams, point: Vec) -> int:
-    """Capped signal minus demand at one cell (negative when deficient)."""
-    return _signal_field(config, params)[reduce_point(config, point)] - params.r
+    """Capped signal minus demand at one cell (negative when deficient).
+
+    Builds the whole field, 2t - 1 row slices per offset on a flat list
+    of |det| cells, to read one position of it.
+    """
+    return _signal_field(config, params)[_cell(config, point)] - params.r
 
 
 @dataclass(frozen=True)
@@ -184,13 +251,16 @@ def verify_periodic(config: LatticeConfig, params: SignalParams) -> PeriodicChec
     signal field is invariant under lattice translations. Reads the
     capped field, which falls below r exactly where the raw sum does
     and equals it there (see _signal_field). The whole field is stamped
-    first, so a failing cell early in transversal order costs as much
-    as a passing domain.
+    first (2t - 1 row slices per offset), so a failing cell early in
+    transversal order costs as much as a passing domain. The witness is
+    the list position i as the cell (i mod p1, i div p1).
     """
-    capped = _signal_field(config, params)
-    for point, signal in zip(fundamental_domain(config), capped.values()):
-        if signal < params.r:
-            return PeriodicCheck(False, point, signal)
+    field = _signal_field(config, params)
+    r = params.r
+    for i, signal in enumerate(field):
+        if signal < r:
+            p1 = axis_periods(config)[0]
+            return PeriodicCheck(False, (i % p1, i // p1), signal)
     return PeriodicCheck(True)
 
 
@@ -238,19 +308,23 @@ def excess_report(config: LatticeConfig, params: SignalParams) -> ExcessReport:
     Reports capped signal and excess for every representative, the
     domain total, and the exact per-tower average. A configuration that
     fails to broadcast is still reported, flagged by the broadcasting
-    field (its deficient cells carry negative excess).
+    field (its deficient cells carry negative excess). Each cell's
+    representative is reduced once, for the per_vertex keys.
     """
     r = params.r
-    capped = _signal_field(config, params)
-    total = sum(capped.values()) - r * len(capped)
+    field = _signal_field(config, params)
+    total = sum(field) - r * len(field)
     return ExcessReport(
         params=params,
         period=axis_periods(config),
-        per_vertex={rep: (c, c - r) for rep, c in capped.items()},
+        per_vertex={
+            reduce_point(config, cell): (c, c - r)
+            for cell, c in zip(fundamental_domain(config), field)
+        },
         total_excess=total,
         towers_per_domain=len(config.offsets),
         avg_excess_per_tower=Fraction(total, len(config.offsets)),
-        broadcasting=min(capped.values()) >= r,
+        broadcasting=min(field) >= r,
     )
 
 
@@ -264,9 +338,10 @@ def window_excess(
     cell is tower + dx*u + dy*u' for (dx, dy) in the E rectangle, with
     u the orientation's unit step and u' its quarter turn. Needs t >= 5
     so the window sits cleanly ahead of the tower. Builds the one
-    capped field and reads its 63 cells from it, so the cost grows with
-    t^2 however small the window; cells congruent modulo the lattice
-    each count.
+    capped field and reads its 63 cells from it by list position, so
+    every call pays 2t - 1 row slices per offset on a flat list of
+    |det| cells however small the window; cells congruent modulo the
+    lattice each count.
     """
     t = params.t
     if t < 5:
@@ -275,14 +350,14 @@ def window_excess(
         raise InputError(
             f"orientation must be one of {tuple(_WINDOW_FRAMES)}, got {orientation!r}"
         )
-    offset_reps = {reduce_point(config, o) for o in config.offsets}
-    if reduce_point(config, tower) not in offset_reps:
+    offset_cells = {_cell(config, o) for o in config.offsets}
+    if _cell(config, tower) not in offset_cells:
         raise InputError(f"{tower} is not a tower of this configuration")
     ux, uy = _WINDOW_FRAMES[orientation]
-    capped = _signal_field(config, params)
+    field = _signal_field(config, params)
     tx, ty = tower
     return sum(
-        capped[reduce_point(config, (tx + dx * ux - dy * uy, ty + dx * uy + dy * ux))] - params.r
+        field[_cell(config, (tx + dx * ux - dy * uy, ty + dx * uy + dy * ux))] - params.r
         for dx in range(t - 4, t + 3)
         for dy in range(-4, 5)
     )

@@ -249,6 +249,18 @@ def test_lattice_config_rejects_a_boolean_coordinate(tmp_path):
     assert "error:" in err
 
 
+def test_lattice_field_over_the_size_limit_exits_2(tmp_path):
+    # |det| = 10^10 is refused before any cell is allocated; density
+    # needs no field and still answers.
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"a": [100000, 0], "b": [0, 100000], "offsets": [[0, 0]]}))
+    code, out, err = run(["lattice", "verify", "--config", str(cfg), "-t", "3", "-r", "1"])
+    assert (code, out) == (2, "")
+    assert "|det| = 10000000000 cells, over the limit of 4194304" in err
+    code, out, _ = run(["lattice", "density", "--config", str(cfg)])
+    assert (code, out.strip()) == (0, "1/10000000000")
+
+
 def test_lattice_verify_pass_and_fail():
     code, out, _ = run(["lattice", "verify", "--t3", "5", "-t", "5", "-r", "3"])
     assert (code, out.strip()) == (0, "OK")

@@ -4,9 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from trbroadcast import lattice
 from trbroadcast import (
     GraphSpec,
     InputError,
@@ -30,6 +31,7 @@ from trbroadcast import (
     verify_periodic,
     window_excess,
 )
+from trbroadcast.lattice import _cell, _fold, _signal_field
 
 
 def small_bases():
@@ -127,6 +129,110 @@ def test_fundamental_domain_is_a_transversal(ab):
     assert len({reduce_point(config, pt) for pt in domain}) == config.index
 
 
+def reference_field(config, params):
+    """Oracle for _signal_field: a per-stamp fold.
+
+    Every point of every diamond goes through reduce_point. Returns the
+    capped signal of each cell in fundamental_domain order.
+    """
+    t, r = params.t, params.r
+    capped = {reduce_point(config, cell): 0 for cell in fundamental_domain(config)}
+    for ox, oy in config.offsets:
+        for dy in range(1 - t, t):
+            reach = t - 1 - abs(dy)
+            for dx in range(-reach, reach + 1):
+                capped[reduce_point(config, (ox + dx, oy + dy))] += min(r, t - abs(dx) - abs(dy))
+    return list(capped.values())
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(small_bases(),
+       st.lists(st.tuples(st.integers(-30, 30), st.integers(-30, 30)), min_size=1, max_size=4),
+       st.integers(1, 12), st.integers(1, 8))
+def test_signal_field_equals_per_stamp_reference(ab, offsets, t, r):
+    try:
+        config = LatticeConfig(*ab, offsets=tuple(offsets))
+    except InputError:
+        assume(False)
+    params = SignalParams(t, r)
+    assert _signal_field(config, params) == reference_field(config, params)
+
+
+@pytest.mark.parametrize(
+    "a,b,offsets,t,r",
+    [
+        ((1, 0), (0, 5), ((0, 0),), 4, 2),  # p1 = 1: every row is one cell wide
+        ((1, 0), (3, 7), ((-2, 5), (0, 1)), 6, 3),  # p1 = 1, a_y = 0
+        ((5, 0), (2, 3), ((0, 0), (-7, -4)), 9, 4),  # a_y = 0, rows wrap
+        ((4, 3), (3, -4), ((0, 0),), 5, 3),  # s = 1
+        ((3, 2), (-4, 0), ((-1, -1), (2, 0), (0, 2)), 8, 5),  # b_y = 0
+        ((-2, 3), (5, -1), ((-9, 4), (1, 1), (3, -8), (0, 0)), 7, 2),  # negative basis, 4 offsets
+        ((2, 0), (1, 6), ((0, 0),), 13, 3),  # t - 1 = 12 > p1 = 2: rows wrap up to 13 times
+        ((3, 1), (0, 4), ((-5, -5), (1, 2)), 11, 6),  # b_x = 0, p1 = 12
+    ],
+)
+def test_signal_field_edge_cases_equal_the_reference(a, b, offsets, t, r):
+    config = LatticeConfig(a, b, offsets)
+    params = SignalParams(t, r)
+    assert _signal_field(config, params) == reference_field(config, params)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(small_bases(), st.integers(-40, 40), st.integers(-40, 40))
+@example(((1, 0), (0, 5)), 3, -7)  # p1 = 1
+@example(((3, 2), (-4, 0)), -11, 5)  # b_y = 0
+@example(((-2, 3), (5, -1)), 8, -9)  # negative basis entries
+@example(((2, -6), (1, 3)), -1, 13)
+def test_fold_is_the_hermite_normal_form(ab, x, y):
+    config = LatticeConfig(*ab)
+    p1, s, j = _fold(config)
+    assert (p1, p1 * s) == (axis_periods(config)[0], config.index)
+    assert 0 <= j < p1
+    origin = reduce_point(config, (0, 0))
+    assert reduce_point(config, (p1, 0)) == origin
+    assert reduce_point(config, (j, s)) == origin
+    domain = fundamental_domain(config)
+    assert [_cell(config, pt) for pt in domain] == list(range(config.index))
+    a, b = config.a, config.b
+    cell = _cell(config, (x, y))
+    assert _cell(config, (x + a[0], y + a[1])) == cell
+    assert _cell(config, (x + b[0], y + b[1])) == cell
+    assert reduce_point(config, domain[cell]) == reduce_point(config, (x, y))
+
+
+def test_lattice_audits_fold_no_point_per_stamp(monkeypatch):
+    # Once the config is built, only excess_report reduces points: one
+    # per cell, for its per_vertex keys. A per-stamp fold would make
+    # offsets x (2t^2 - 2t + 1) calls in each audit.
+    config = LatticeConfig((4, 3), (3, -4), offsets=((0, 0), (2, 1)))
+    params = SignalParams(7, 3)
+    tiling = t3_tiling(9)
+    calls = []
+
+    def counting(cfg, v):
+        calls.append(v)
+        return reduce_point(cfg, v)
+
+    monkeypatch.setattr(lattice, "reduce_point", counting)
+    verify_periodic(config, params)
+    verify_periodic(config, SignalParams(2, 3))  # a FAIL
+    promote_check(tiling, 9, 2, 2)
+    window_excess(config, params, (2, 1), "N")
+    excess_at(config, params, (5, -3))
+    assert calls == []
+    excess_report(config, params)
+    assert len(calls) == config.index
+
+
+def test_signal_field_refuses_an_oversized_domain(monkeypatch):
+    monkeypatch.setattr(lattice, "MAX_FIELD_CELLS", 25)
+    assert len(_signal_field(t3_tiling(5), SignalParams(5, 3))) == 25
+    with pytest.raises(InputError, match=r"\|det\| = 41 cells, over the limit of 25"):
+        _signal_field(t1_tiling(5), SignalParams(5, 1))
+    with pytest.raises(InputError, match="over the limit"):
+        verify_periodic(t1_tiling(5), SignalParams(5, 1))
+
+
 def test_axis_periods_examples():
     assert axis_periods(t1_tiling(5)) == (41, 41)
     assert axis_periods(t3_tiling(5)) == (25, 25)
@@ -157,7 +263,8 @@ def test_density_closed_forms():
 def test_tilings_broadcast_at_their_design_parameters():
     for t in range(2, 13):
         assert verify_periodic(t1_tiling(t), SignalParams(t, 1)).ok
-    for t in range(3, 13):
+    # the paper proves the (t, 3) pattern minimal for t > 17
+    for t in [*range(3, 13), 18, 25, 40, 60]:
         assert verify_periodic(t3_tiling(t), SignalParams(t, 3)).ok
 
 
@@ -213,7 +320,7 @@ def test_t3_excess_landscape_at_design_strength():
 
 
 def test_total_excess_is_four_across_the_strength_range():
-    for t in range(4, 13):
+    for t in [*range(4, 13), 18, 25, 40, 60]:
         assert excess_report(t3_tiling(t), SignalParams(t, 3)).total_excess == 4
         assert excess_report(t1_tiling(t), SignalParams(t + 1, 3)).total_excess == 4
 
@@ -443,6 +550,7 @@ def test_verify_periodic_agrees_with_torus_on_random_configs():
             for x, y in domain
         ]
         params = SignalParams(t, max(1, min(reference) + rng.randint(-1, 1)))
+        assert _signal_field(config, params) == reference_field(config, params)
         check = verify_periodic(config, params)
         assert check.ok == is_broadcasting(towers, params).ok
         deficient = [i for i, raw in enumerate(reference) if raw < params.r]
