@@ -50,14 +50,10 @@ from .signal import (
     BroadcastCheck,
     SignalParams,
     TowerSet,
-    VertexAudit,
-    audit_vertex,
     is_broadcasting,
     towers_from_json_dict,
-    usable_cap_1d,
-    usable_cap_2d,
 )
-from .solver import DEFAULT_NODE_BUDGET, SolveResult, solve, verify_witness
+from .solver import DEFAULT_NODE_BUDGET, SolveResult, solve
 
 __version__ = "0.1.0"
 
@@ -75,8 +71,6 @@ __all__ = [
     "SignalParams",
     "SolveResult",
     "TowerSet",
-    "VertexAudit",
-    "audit_vertex",
     "axis_periods",
     "ball",
     "bfs_distances_from",
@@ -103,9 +97,6 @@ __all__ = [
     "t1_tiling",
     "t3_tiling",
     "towers_from_json_dict",
-    "usable_cap_1d",
-    "usable_cap_2d",
     "verify_periodic",
-    "verify_witness",
     "window_excess",
 ]

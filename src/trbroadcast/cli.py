@@ -40,7 +40,7 @@ from .lattice import (
     verify_periodic,
     window_excess,
 )
-from .signal import SignalParams, TowerSet, is_broadcasting, towers_from_json_dict
+from .signal import SignalParams, is_broadcasting, towers_from_json_dict
 from .solver import DEFAULT_NODE_BUDGET, solve
 
 EXIT_OK = 0

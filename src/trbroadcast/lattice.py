@@ -125,23 +125,19 @@ def axis_periods(config: LatticeConfig) -> tuple[int, int]:
     """Minimal horizontal and vertical periods of the configuration.
 
     Triangularizing the basis shows the lattice points on the x-axis
-    are generated by (|det| / gcd(a_y, b_y), 0), and symmetrically for
-    the y-axis.
+    are generated by (|det| / gcd(a_y, b_y), 0), the p1 of _fold, and
+    symmetrically for the y-axis.
     """
-    nn = config.index
-    p1 = nn // math.gcd(config.a[1], config.b[1])
-    p2 = nn // math.gcd(config.a[0], config.b[0])
-    return (p1, p2)
+    return (_fold(config)[0], config.index // math.gcd(config.a[0], config.b[0]))
 
 
 def fundamental_domain(config: LatticeConfig) -> list[Vec]:
     """Exactly index-many cells, pairwise distinct modulo the lattice.
 
     Uses the triangular transversal {(x, y) : 0 <= x < p1, 0 <= y < s}
-    with p1 the x-axis period and s = index / p1.
+    of the Hermite normal form (see _fold).
     """
-    p1, _ = axis_periods(config)
-    s = config.index // p1
+    p1, s, _ = _fold(config)
     return [(x, y) for y in range(s) for x in range(p1)]
 
 
@@ -152,7 +148,7 @@ def _fold(config: LatticeConfig) -> tuple[int, int, int]:
     the least positive y of a lattice point, and one extended gcd
     writes it as u*a_y + v*b_y, so u*a + v*b = (j mod p1, s). The
     lattice points on the x-axis are the multiples of (p1, 0), with
-    p1 = |det| / s the x-axis period of axis_periods.
+    p1 = |det| / s the x-axis period.
     """
     (ax, ay), (bx, by) = config.a, config.b
     g, g_next, u, u_next, v, v_next = ay, by, 1, 0, 0, 1
@@ -259,7 +255,7 @@ def verify_periodic(config: LatticeConfig, params: SignalParams) -> PeriodicChec
     r = params.r
     for i, signal in enumerate(field):
         if signal < r:
-            p1 = axis_periods(config)[0]
+            p1 = _fold(config)[0]
             return PeriodicCheck(False, (i % p1, i // p1), signal)
     return PeriodicCheck(True)
 

@@ -1,9 +1,9 @@
-"""Signal and excess accounting on finite graphs.
+"""Signal accounting on finite graphs.
 
 A tower at u delivers max(0, t - d(u, v)) to vertex v. A tower set
 broadcasts when every vertex collects at least r raw signal. Capped
-sums (each tower's contribution clipped at r) drive the excess and
-efficiency bookkeeping.
+sums (each tower's contribution clipped at r) give the lower bound
+certified by vertex weights.
 """
 
 from __future__ import annotations
@@ -45,10 +45,6 @@ class TowerSet:
                 raise InputError("tower indices must be strictly increasing, no duplicates")
             prev = v
 
-    @classmethod
-    def from_vertices(cls, spec: GraphSpec, vertices) -> "TowerSet":
-        return cls(spec, tuple(sorted(vertices)))
-
     def to_json_dict(self) -> dict:
         return {"spec": format_graph_spec(self.spec), "towers": list(self.vertices)}
 
@@ -66,14 +62,6 @@ def towers_from_json_dict(data: dict) -> TowerSet:
 
 
 @dataclass(frozen=True)
-class VertexAudit:
-    vertex: int
-    raw_signal: int
-    capped_signal: int
-    excess: int
-
-
-@dataclass(frozen=True)
 class BroadcastCheck:
     """Outcome of a broadcast verification.
 
@@ -84,19 +72,6 @@ class BroadcastCheck:
     ok: bool
     deficient_vertex: int | None = None
     signal: int | None = None
-
-
-def audit_vertex(towers: TowerSet, params: SignalParams, v: int) -> VertexAudit:
-    """Raw and capped signal sums at one vertex, plus the capped excess."""
-    placed = set(towers.vertices)
-    raw = 0
-    capped = 0
-    for u, d in near(towers.spec, v, params.t - 1):
-        if u in placed:
-            f = params.t - d
-            raw += f
-            capped += min(params.r, f)
-    return VertexAudit(v, raw, capped, capped - params.r)
 
 
 def is_broadcasting(towers: TowerSet, params: SignalParams) -> BroadcastCheck:
@@ -134,36 +109,3 @@ def weighted_bound(spec: GraphSpec, params: SignalParams, weights: list[int]) ->
     scale = max(sum(min(r, t - d) * weights[v] for v, d in near(spec, u, t - 1))
                 for u in range(spec.num_vertices))
     return (-(-r * sum(weights) // scale) if scale else 0), scale
-
-
-def usable_cap_1d(params: SignalParams, k: int) -> int:
-    """Most capped signal one tower can supply on a path or cycle power.
-
-    Closed form ((2t - r - 1)k + 1) * r: the tower serves full demand r
-    out to distance (t - r)k, then linearly less out to distance
-    (t - 1)k, and the two tails fold into the same product.
-    """
-    if k < 1:
-        raise InputError(f"need k >= 1, got {k}")
-    t, r = params.t, params.r
-    if t < r:
-        raise InputError(f"usable cap needs t >= r, got t={t}, r={r}")
-    return ((2 * t - r - 1) * k + 1) * r
-
-
-def usable_cap_2d(params: SignalParams) -> int:
-    """Most capped signal one tower can supply on the infinite grid.
-
-    Exact ring summation: demand r across the full-rate ball of radius
-    t - r (which has 2(t-r)^2 + 2(t-r) + 1 cells), plus 4d * (t - d)
-    over each partially served ring t - r < d <= t - 1.
-    """
-    t, r = params.t, params.r
-    if t < r:
-        raise InputError(f"usable cap needs t >= r, got t={t}, r={r}")
-    inner = t - r
-    total = r * (2 * inner * inner + 2 * inner + 1)
-    for d in range(inner + 1, t):
-        total += 4 * d * (t - d)
-    return total
-

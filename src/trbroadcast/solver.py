@@ -77,7 +77,9 @@ deficient vertex; reaching it is the cover test.
 Set-up builds one table, `cover`, from one radius t - 1 kernel call
 (`graphs.near`) per vertex, so it costs V x |ball| entries rather than
 V^2 distance calls. Distance is symmetric, so a vertex's list names
-both the vertices its tower serves and its own candidate towers.
+both the vertices its tower serves and its own candidate towers. A spec
+whose table could exceed MAX_COVER_ENTRIES entries is refused before
+anything is allocated.
 
 Before it returns, `solve` re-audits its witness with `is_broadcasting`,
 which knows nothing of the search, and raises RuntimeError if the audit
@@ -106,6 +108,10 @@ DEFAULT_NODE_BUDGET = 2_000_000
 # paths with n = 25 to 72, 196 of the 238 searches that needed more
 # than 512 nodes ran slower with the LP (1.97 s in all, 3.18 s with it).
 ORBIT_CAP = 21
+# Most entries the cover table may hold, bounded before it is built by
+# V times the closed-form ball size. It admits torus:41x41 at t = 21
+# (1,681 x 841 entries), the largest spec the tests or the benchmark solve.
+MAX_COVER_ENTRIES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -311,12 +317,21 @@ def solve(spec: GraphSpec, params: SignalParams, node_budget: int = DEFAULT_NODE
     Deterministic: identical inputs explore identical node sequences.
     Any witness returned has passed is_broadcasting.
     Raises InputError when no tower set at all can meet the demand
-    (possible only for t < r).
+    (possible only for t < r), or when the cover table could exceed
+    MAX_COVER_ENTRIES.
     """
     if node_budget < 1:
         raise InputError(f"node budget must be positive, got {node_budget}")
     t, r = params.t, params.r
     nv = spec.num_vertices
+    if spec.family in (Family.PATH, Family.CYCLE):
+        ball = 2 * (t - 1) * spec.k + 1
+    else:
+        ball = 2 * t * t - 2 * t + 1
+    entries = nv * min(nv, ball)
+    if entries > MAX_COVER_ENTRIES:
+        raise InputError(f"{format_graph_spec(spec)} at t={t} needs a cover table of up to "
+                         f"{entries} entries, over the limit of {MAX_COVER_ENTRIES}")
 
     # cover[u]: (vertex, gain) for every vertex a tower at u would serve,
     # which are also the candidate towers that would raise u's signal.
@@ -369,10 +384,3 @@ def solve(spec: GraphSpec, params: SignalParams, node_budget: int = DEFAULT_NODE
         nodes_explored=nodes,
         lower_bound=lb,
     )
-
-
-def verify_witness(result: SolveResult, spec: GraphSpec, params: SignalParams) -> bool:
-    """Re-audit a solver witness from scratch, independent of the search."""
-    if result.witness.spec != spec or len(result.witness.vertices) != result.gamma:
-        return False
-    return is_broadcasting(result.witness, params).ok

@@ -31,9 +31,7 @@ from trbroadcast import (
     solve,
     t1_tiling,
     t3_tiling,
-    usable_cap_2d,
     verify_periodic,
-    verify_witness,
     window_excess,
 )
 
@@ -62,9 +60,11 @@ def test_c01_path_closed_form_equals_exact_solver_on_the_sweep():
     for n, k, t, r in SWEEP:
         params = SignalParams(t, r)
         formula = gamma_path_power(n, k, t, r)
-        result = solve(GraphSpec.path_power(n, k), params)
+        spec = GraphSpec.path_power(n, k)
+        result = solve(spec, params)
         assert result.proof_of_optimality
-        assert verify_witness(result, GraphSpec.path_power(n, k), params)
+        assert (result.witness.spec, len(result.witness.vertices)) == (spec, result.gamma)
+        assert is_broadcasting(result.witness, params).ok
         if result.gamma != formula:
             mismatches.append((n, k, t, r, formula, result.gamma))
     outside_caveat = [m for m in mismatches if m[3] < m[2] or m[1] == 1]
@@ -102,9 +102,11 @@ def test_c02_cycle_closed_form_equals_exact_solver_on_the_sweep():
         seen.add((n, k, t, r))
         params = SignalParams(t, r)
         formula = gamma_cycle_power(n, k, t, r)
-        result = solve(GraphSpec.cycle_power(n, k), params)
+        spec = GraphSpec.cycle_power(n, k)
+        result = solve(spec, params)
         assert result.proof_of_optimality
-        assert verify_witness(result, GraphSpec.cycle_power(n, k), params)
+        assert (result.witness.spec, len(result.witness.vertices)) == (spec, result.gamma)
+        assert is_broadcasting(result.witness, params).ok
         if result.gamma != formula:
             mismatches.append((n, k, t, r, formula, result.gamma))
     assert not mismatches, (
@@ -195,7 +197,17 @@ def test_c07_window_excess_at_least_four_and_random_probe_clean():
 def test_c08_capacity_identity_and_attained_density():
     for t in range(4, 13):
         efficient = 2 * t * t - 6 * t + 5
-        assert usable_cap_2d(SignalParams(t, 3)) == 3 * efficient + 4
+        # one tower's capped signal over its diamond on the infinite grid
+        capacity = sum(
+            min(3, max(0, t - abs(dx) - abs(dy)))
+            for dx in range(-t, t + 1)
+            for dy in range(-t, t + 1)
+        )
+        # the (t, 3) pattern sells 3 per cell of its one-tower domain and
+        # wastes the rest of that tower's capacity as excess
+        config = t3_tiling(t)
+        excess = excess_report(config, SignalParams(t, 3)).total_excess
+        assert 3 * config.index + excess == capacity == 3 * efficient + 4
         # a configuration wasting exactly 4 per tower lands on that density
         assert density(t3_tiling(t)) == Fraction(1, efficient)
 

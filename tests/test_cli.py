@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import resource
 import shlex
 import shutil
 import subprocess
@@ -112,6 +113,40 @@ def test_solve_deep_path_runs_without_recursion():
     assert payload["gamma"] == 1001
     assert payload["proof_of_optimality"] is True
     assert payload["nodes_explored"] == 2002
+
+
+def test_solve_over_the_table_limit_exits_2():
+    # 10^10 vertices are refused before the cover table is built. The
+    # run gets a 1 GiB address-space cap, so a missing guard fails fast
+    # instead of filling memory.
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run([sys.executable, "-m", "trbroadcast", "solve", "torus:100000x100000",
+                           "-t", "2", "-r", "1"], capture_output=True, text=True,
+                          env=src_env(), preexec_fn=cap_memory, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: torus:100000x100000 at t=2 needs a cover table of up to "
+                           "50000000000 entries, over the limit of 4194304\n")
+
+
+@pytest.mark.parametrize("spec, t, entries", [
+    # V x the closed-form ball: 2t^2 - 2t + 1 on grids and tori,
+    # 2(t - 1)k + 1 on path and cycle powers, each capped at V
+    ("grid:5x5", 2, 25 * 5),
+    ("cycle:n=10,k=2", 3, 10 * 9),
+    ("torus:2x2", 5, 4 * 4),
+])
+def test_solve_table_limit_counts_v_times_the_ball(monkeypatch, spec, t, entries):
+    import trbroadcast.solver as solver
+
+    argv = ["solve", spec, "-t", str(t), "-r", "1"]
+    monkeypatch.setattr(solver, "MAX_COVER_ENTRIES", entries - 1)
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f" {entries} entries, over the limit of {entries - 1}\n")
+    monkeypatch.setattr(solver, "MAX_COVER_ENTRIES", entries)
+    assert run(argv)[0] == 0
 
 
 def test_internal_error_exits_4_and_still_writes_the_manifest(tmp_path, monkeypatch):

@@ -14,8 +14,8 @@ from trbroadcast import (
     gamma_cycle_power,
     gamma_path_power,
     is_broadcasting,
-    usable_cap_1d,
 )
+from trbroadcast.formulas import _period
 
 
 def test_path_formula_examples():
@@ -37,12 +37,13 @@ def test_path_formula_k1_reduction():
 
 
 def test_lower_bound_is_tight():
-    # demand nr plus the kr(r-1) end slack, over one tower's usable cap
+    # demand nr plus the kr(r-1) end slack, over one tower's usable cap,
+    # r per vertex of its period
     for n in range(1, 19):
         for k in range(1, 4):
             for t in range(1, 5):
                 for r in range(1, t + 1):
-                    cap = usable_cap_1d(SignalParams(t, r), k)
+                    cap = _period(k, t, r) * r
                     bound = -(-(n * r + k * r * (r - 1)) // cap)
                     assert bound == gamma_path_power(n, k, t, r)
 

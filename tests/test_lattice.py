@@ -14,11 +14,11 @@ from trbroadcast import (
     LatticeConfig,
     SignalParams,
     TowerSet,
-    audit_vertex,
     axis_periods,
     centered_t1_frame,
     config_from_json_dict,
     density,
+    distance,
     excess_at,
     excess_report,
     fundamental_domain,
@@ -481,6 +481,12 @@ def embed_on_torus(config, params):
     return spec, TowerSet(spec, towers)
 
 
+def torus_gains(spec, towers, t, cells):
+    """t - d from every torus tower at each cell, per pair through distance()."""
+    return [[max(0, t - distance(spec, u, y * spec.cols + x)) for u in towers.vertices]
+            for x, y in cells]
+
+
 @pytest.mark.parametrize(
     "config,params",
     [
@@ -496,15 +502,16 @@ def embed_on_torus(config, params):
 def test_excess_report_agrees_with_torus_audit(config, params):
     spec, towers = embed_on_torus(config, params)
     report = excess_report(config, params)
-    for x, y in fundamental_domain(config):
-        audit = audit_vertex(towers, params, y * spec.cols + x)
-        rep = reduce_point(config, (x, y))
-        assert report.per_vertex[rep] == (audit.capped_signal, audit.excess)
+    domain = fundamental_domain(config)
+    r = params.r
+    for cell, row in zip(domain, torus_gains(spec, towers, params.t, domain)):
+        raw, capped = sum(row), sum(min(r, g) for g in row)
+        assert report.per_vertex[reduce_point(config, cell)] == (capped, capped - r)
         # below demand no tower is capped, so the capped field is the raw sum
-        if audit.raw_signal < params.r:
-            assert audit.capped_signal == audit.raw_signal
+        if raw < r:
+            assert capped == raw
         else:
-            assert audit.capped_signal >= params.r
+            assert capped >= r
     assert report.broadcasting == is_broadcasting(towers, params).ok
 
 
@@ -545,10 +552,8 @@ def test_verify_periodic_agrees_with_torus_on_random_configs():
         if spec.num_vertices > 2500:
             continue
         domain = fundamental_domain(config)
-        reference = [
-            audit_vertex(towers, SignalParams(t, 1), y * spec.cols + x).raw_signal
-            for x, y in domain
-        ]
+        gains = torus_gains(spec, towers, t, domain)
+        reference = [sum(row) for row in gains]
         params = SignalParams(t, max(1, min(reference) + rng.randint(-1, 1)))
         assert _signal_field(config, params) == reference_field(config, params)
         check = verify_periodic(config, params)
@@ -561,10 +566,9 @@ def test_verify_periodic_agrees_with_torus_on_random_configs():
             assert check.ok and check.witness is None
         report = excess_report(config, params)
         assert report.broadcasting == check.ok
-        for x, y in domain:
-            audit = audit_vertex(towers, params, y * spec.cols + x)
-            assert report.per_vertex[reduce_point(config, (x, y))] == (
-                audit.capped_signal, audit.excess)
+        for cell, row in zip(domain, gains):
+            capped = sum(min(params.r, g) for g in row)
+            assert report.per_vertex[reduce_point(config, cell)] == (capped, capped - params.r)
         checked += 1
         multi += len(offsets) > 1
         wide += t - 1 > longest

@@ -10,13 +10,12 @@ from trbroadcast import (
     InputError,
     SignalParams,
     TowerSet,
-    audit_vertex,
     distance,
     is_broadcasting,
     towers_from_json_dict,
-    usable_cap_1d,
-    usable_cap_2d,
 )
+from trbroadcast.formulas import _period
+from trbroadcast.signal import weighted_bound
 
 
 def test_params_validation():
@@ -26,22 +25,6 @@ def test_params_validation():
         SignalParams(3, 0)
     # t < r is allowed at the engine level, only constructions insist on t >= r
     SignalParams(2, 5)
-
-
-def test_audit_vertex_examples():
-    spec = GraphSpec.path_power(5, 1)
-    audit = audit_vertex(TowerSet(spec, (2,)), SignalParams(3, 1), 0)
-    assert (audit.raw_signal, audit.capped_signal, audit.excess) == (1, 1, 0)
-
-    spec = GraphSpec.path_power(3, 1)
-    audit = audit_vertex(TowerSet(spec, (0, 2)), SignalParams(2, 2), 1)
-    assert (audit.raw_signal, audit.capped_signal, audit.excess) == (2, 2, 0)
-
-    # contributions 3+2+2 raw, capped at 2 each
-    audit = audit_vertex(TowerSet(spec, (0, 1, 2)), SignalParams(3, 2), 1)
-    assert audit.raw_signal == 7
-    assert audit.capped_signal == 6
-    assert audit.excess == 4
 
 
 def test_is_broadcasting_reports_first_shortfall():
@@ -64,6 +47,35 @@ def test_is_broadcasting_reports_first_shortfall():
     assert check.ok
 
 
+def test_audit_vertex_examples():
+    """Raw signal, capped signal and excess at one vertex, per pair through
+    distance(), and the raw signal is_broadcasting reports at a shortfall."""
+    path5, path3 = GraphSpec.path_power(5, 1), GraphSpec.path_power(3, 1)
+    for towers, params, v, want in [
+        (TowerSet(path5, (2,)), SignalParams(3, 1), 0, (1, 1, 0)),
+        (TowerSet(path3, (0, 2)), SignalParams(2, 2), 1, (2, 2, 0)),
+        # contributions 3+2+2 raw, capped at 2 each
+        (TowerSet(path3, (0, 1, 2)), SignalParams(3, 2), 1, (7, 6, 4)),
+    ]:
+        row = gains(towers, params.t)[v]
+        capped = sum(min(params.r, g) for g in row)
+        assert (sum(row), capped, capped - params.r) == want
+
+    # the reported signal is the raw sum: 1 from a tower two steps away
+    check = is_broadcasting(
+        TowerSet(GraphSpec.path_power(5, 1), (2,)), SignalParams(3, 2)
+    )
+    assert check == BroadcastCheck(False, 0, 1)
+    # 1 + 1 from the two ends meets demand 2 in the middle
+    assert is_broadcasting(
+        TowerSet(GraphSpec.path_power(3, 1), (0, 2)), SignalParams(2, 2)
+    ).ok
+    # contributions 3 + 2 + 2 at every vertex of the triangle, uncapped
+    towers = TowerSet(GraphSpec.cycle_power(3, 1), (0, 1, 2))
+    assert is_broadcasting(towers, SignalParams(3, 7)).ok
+    assert is_broadcasting(towers, SignalParams(3, 8)) == BroadcastCheck(False, 0, 7)
+
+
 def test_tower_set_validation_and_round_trip():
     spec = GraphSpec.path_power(6, 1)
     with pytest.raises(InputError):
@@ -75,8 +87,7 @@ def test_tower_set_validation_and_round_trip():
     with pytest.raises(InputError):
         TowerSet(spec, (-1,))
 
-    towers = TowerSet.from_vertices(spec, [5, 0, 3])
-    assert towers.vertices == (0, 3, 5)
+    towers = TowerSet(spec, (0, 3, 5))
     assert towers_from_json_dict(towers.to_json_dict()) == towers
 
 
@@ -89,31 +100,33 @@ def test_towers_from_json_rejects_malformed():
         towers_from_json_dict([1, 2])
 
 
-def test_usable_cap_1d_examples():
-    assert usable_cap_1d(SignalParams(3, 2), 1) == 8
-    assert usable_cap_1d(SignalParams(1, 1), 1) == 1
-    assert usable_cap_1d(SignalParams(3, 2), 2) == 14
-    with pytest.raises(InputError):
-        usable_cap_1d(SignalParams(2, 3), 1)
-    with pytest.raises(InputError):
-        usable_cap_1d(SignalParams(3, 2), 0)
-
-
 def max_capped_supply(spec, t_max):
     """Largest capped supply of one tower on spec, for each t <= t_max and
-    r <= t, summed per pair through distance()."""
+    r <= t, summed per pair through distance(). It is also the scale D
+    that weight 1 on every vertex gives weighted_bound."""
     nv = spec.num_vertices
     rows = [[distance(spec, u, v) for v in range(nv)] for u in range(nv)]
-    return {
-        (t, r): max(sum(min(r, max(0, t - d)) for d in row) for row in rows)
-        for t in range(1, t_max + 1)
-        for r in range(1, t + 1)
-    }
+    supplies = {}
+    for t in range(1, t_max + 1):
+        for r in range(1, t + 1):
+            params = SignalParams(t, r)
+            supply = max(sum(min(r, max(0, t - d)) for d in row) for row in rows)
+            assert weighted_bound(spec, params, [1] * nv)[1] == supply
+            supplies[t, r] = supply
+    return supplies
+
+
+def test_usable_cap_1d_examples():
+    # the usable cap of one tower on a path or cycle power is r times the
+    # closed forms' period (2t - r - 1)k + 1
+    assert _period(1, 3, 2) * 2 == 8
+    assert _period(1, 1, 1) * 1 == 1
+    assert _period(2, 3, 2) * 2 == 14
 
 
 def test_usable_cap_1d_matches_brute_force_center_tower():
-    """A central tower on a long path realizes the 1d cap exactly, and no
-    tower on a finite path or cycle power supplies more."""
+    """A central tower on a long path realizes r times the period exactly,
+    and no tower on a finite path or cycle power supplies more."""
     for k in range(1, 4):
         for t in range(1, 7):
             for r in range(1, t + 1):
@@ -123,39 +136,41 @@ def test_usable_cap_1d_matches_brute_force_center_tower():
                     min(r, max(0, t - distance(spec, center, v)))
                     for v in range(spec.num_vertices)
                 )
-                assert got == usable_cap_1d(SignalParams(t, r), k)
+                assert got == _period(k, t, r) * r
     for k in range(1, 4):
         for n in range(1, 15):
             for spec in (GraphSpec.path_power(n, k), GraphSpec.cycle_power(n, k)):
                 for (t, r), supply in max_capped_supply(spec, 5).items():
-                    assert supply <= usable_cap_1d(SignalParams(t, r), k), (spec, t, r)
+                    assert supply <= _period(k, t, r) * r, (spec, t, r)
+
+
+def diamond_cap(t, r):
+    """Capped signal of one tower summed over its diamond in the infinite grid."""
+    return sum(
+        min(r, max(0, t - abs(dx) - abs(dy)))
+        for dx in range(-t, t + 1)
+        for dy in range(-t, t + 1)
+    )
 
 
 def test_usable_cap_2d_examples_and_identity():
-    assert usable_cap_2d(SignalParams(5, 3)) == 79
-    assert usable_cap_2d(SignalParams(2, 1)) == 5
-    with pytest.raises(InputError):
-        usable_cap_2d(SignalParams(2, 3))
-    # demand-3 identity used by the density accounting
+    assert diamond_cap(5, 3) == 79
+    assert diamond_cap(2, 1) == 5
+    # demand-3 identity used by the density accounting; c08 reads it off
+    # the lattice field of the (t, 3) tiling
     for t in range(4, 13):
-        assert usable_cap_2d(SignalParams(t, 3)) == 3 * (2 * t * t - 6 * t + 5) + 4
+        assert diamond_cap(t, 3) == 3 * (2 * t * t - 6 * t + 5) + 4
 
 
 def test_usable_cap_2d_matches_double_sum():
-    for t in range(1, 9):
-        for r in range(1, t + 1):
-            brute = sum(
-                min(r, max(0, t - abs(dx) - abs(dy)))
-                for dx in range(-t, t + 1)
-                for dy in range(-t, t + 1)
-            )
-            assert usable_cap_2d(SignalParams(t, r)) == brute
-    # no tower on a finite grid or torus supplies more than the infinite grid
+    """No tower on a finite grid or torus supplies more than the diamond
+    sum of the infinite grid."""
+    cap = {(t, r): diamond_cap(t, r) for t in range(1, 7) for r in range(1, t + 1)}
     for rows in range(1, 7):
         for cols in range(1, 7):
             for spec in (GraphSpec.grid(rows, cols), GraphSpec.torus(rows, cols)):
                 for (t, r), supply in max_capped_supply(spec, 6).items():
-                    assert supply <= usable_cap_2d(SignalParams(t, r)), (spec, t, r)
+                    assert supply <= cap[t, r], (spec, t, r)
 
 
 @st.composite
@@ -173,19 +188,30 @@ def towered_graph(draw):
     towers = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=min(n, 8)))
     t = draw(st.integers(1, 6))
     r = draw(st.integers(1, 6))
-    return spec, TowerSet.from_vertices(spec, towers), SignalParams(t, r)
+    return spec, TowerSet(spec, tuple(sorted(towers))), SignalParams(t, r)
+
+
+def gains(towers, t):
+    """t - d from every tower at each vertex, per pair through distance()."""
+    spec = towers.spec
+    return [[max(0, t - distance(spec, u, v)) for u in towers.vertices]
+            for v in range(spec.num_vertices)]
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)
 @given(towered_graph())
 def test_cap_consistency(case):
-    # capping per-tower contributions at r never flips satisfaction
-    spec, towers, params = case
-    for v in range(spec.num_vertices):
-        audit = audit_vertex(towers, params, v)
-        assert audit.capped_signal <= audit.raw_signal
-        assert (audit.capped_signal >= params.r) == (audit.raw_signal >= params.r)
-        assert audit.excess == audit.capped_signal - params.r
+    # capping per-tower contributions at r never flips satisfaction, so
+    # the capped sums decide broadcasting as the raw check does
+    _, towers, params = case
+    r = params.r
+    capped_ok = True
+    for row in gains(towers, params.t):
+        raw, capped = sum(row), sum(min(r, g) for g in row)
+        assert capped <= raw
+        assert (capped >= r) == (raw >= r)
+        capped_ok &= capped >= r
+    assert is_broadcasting(towers, params).ok == capped_ok
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
@@ -196,34 +222,31 @@ def test_adding_a_tower_never_hurts(case, data):
     if not free:
         return
     extra = data.draw(st.sampled_from(free))
-    bigger = TowerSet.from_vertices(spec, set(towers.vertices) | {extra})
-    for v in range(spec.num_vertices):
-        before = audit_vertex(towers, params, v)
-        after = audit_vertex(bigger, params, v)
-        assert after.raw_signal >= before.raw_signal
-        assert after.capped_signal >= before.capped_signal
+    bigger = TowerSet(spec, tuple(sorted(set(towers.vertices) | {extra})))
+    r = params.r
+    for before, after in zip(gains(towers, params.t), gains(bigger, params.t)):
+        assert sum(after) >= sum(before)
+        assert sum(min(r, g) for g in after) >= sum(min(r, g) for g in before)
+    # a shortfall of the bigger set is a shortfall of the smaller one
+    check, bigger_check = is_broadcasting(towers, params), is_broadcasting(bigger, params)
+    assert check.ok <= bigger_check.ok
+    if not bigger_check.ok:
+        assert check.deficient_vertex <= bigger_check.deficient_vertex
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(towered_graph())
 def test_broadcast_check_matches_vertex_audits(case):
-    # Both functions run on the stencil kernel; the reference here is the
-    # per-pair definition, summed over every tower through distance().
-    spec, towers, params = case
-    t, r = params.t, params.r
-    gains = [
-        [max(0, t - distance(spec, u, v)) for u in towers.vertices]
-        for v in range(spec.num_vertices)
-    ]
-    for v, row in enumerate(gains):
-        audit = audit_vertex(towers, params, v)
-        assert audit.raw_signal == sum(row)
-        assert audit.capped_signal == sum(min(r, g) for g in row)
+    # is_broadcasting runs on the stencil kernel; the reference here is
+    # the per-pair definition, summed over every tower through distance().
+    _, towers, params = case
+    r = params.r
+    raw = [sum(row) for row in gains(towers, params.t)]
     check = is_broadcasting(towers, params)
-    deficient = [v for v, row in enumerate(gains) if sum(row) < r]
+    deficient = [v for v, signal in enumerate(raw) if signal < r]
     if deficient:
         assert not check.ok
         assert check.deficient_vertex == deficient[0]
-        assert check.signal == sum(gains[deficient[0]])
+        assert check.signal == raw[deficient[0]]
     else:
         assert check == BroadcastCheck(True)

@@ -14,13 +14,11 @@ from trbroadcast import (
     GraphSpec,
     InputError,
     SignalParams,
-    SolveResult,
     TowerSet,
     is_broadcasting,
     near,
     parse_graph_spec,
     solve,
-    verify_witness,
 )
 from trbroadcast.graphs import Family, reflection_orbits
 from trbroadcast.signal import weighted_bound
@@ -37,18 +35,22 @@ def brute_force_gamma(spec, params):
 
 
 def test_path_example():
-    result = solve(GraphSpec.path_power(10, 1), SignalParams(3, 2))
+    spec, params = GraphSpec.path_power(10, 1), SignalParams(3, 2)
+    result = solve(spec, params)
     assert result.gamma == 3
     assert result.witness.vertices == (0, 4, 8)
     assert result.proof_of_optimality
-    assert verify_witness(result, GraphSpec.path_power(10, 1), SignalParams(3, 2))
+    assert (result.witness.spec, len(result.witness.vertices)) == (spec, result.gamma)
+    assert is_broadcasting(result.witness, params).ok
 
 
 def test_cycle_example():
-    result = solve(GraphSpec.cycle_power(12, 1), SignalParams(3, 2))
+    spec, params = GraphSpec.cycle_power(12, 1), SignalParams(3, 2)
+    result = solve(spec, params)
     assert result.gamma == 3
     assert result.proof_of_optimality
-    assert verify_witness(result, GraphSpec.cycle_power(12, 1), SignalParams(3, 2))
+    assert (result.witness.spec, len(result.witness.vertices)) == (spec, result.gamma)
+    assert is_broadcasting(result.witness, params).ok
 
 
 def test_single_vertex():
@@ -64,9 +66,11 @@ def test_grid_and_torus_spot_values():
     assert result.gamma == 3
     assert result.witness.vertices == (1, 4, 7)
     # 5x5 torus at (2,1): the classic perfect radius-1 cover
-    result = solve(GraphSpec.torus(5, 5), SignalParams(2, 1))
+    spec, params = GraphSpec.torus(5, 5), SignalParams(2, 1)
+    result = solve(spec, params)
     assert result.gamma == 5
-    assert verify_witness(result, GraphSpec.torus(5, 5), SignalParams(2, 1))
+    assert (result.witness.spec, len(result.witness.vertices)) == (spec, result.gamma)
+    assert is_broadcasting(result.witness, params).ok
 
 
 def test_matches_brute_force_on_small_instances():
@@ -82,7 +86,8 @@ def test_matches_brute_force_on_small_instances():
         result = solve(spec, params)
         assert result.proof_of_optimality
         assert result.gamma == brute_force_gamma(spec, params)
-        assert verify_witness(result, spec, params)
+        assert (result.witness.spec, len(result.witness.vertices)) == (spec, result.gamma)
+        assert is_broadcasting(result.witness, params).ok
 
 
 def test_determinism_including_node_counts():
@@ -149,7 +154,8 @@ def test_budget_exhaustion_is_explicit():
     assert result.nodes_explored == 3
     # the capacity bound: demand 2 * 10 over 14 capped supply per tower
     assert result.lower_bound == 2
-    assert verify_witness(result, spec, params)
+    assert (result.witness.spec, len(result.witness.vertices)) == (spec, result.gamma)
+    assert is_broadcasting(result.witness, params).ok
     # a cut after the search beat the greedy cover (4 towers) keeps the
     # smaller set, still as an unproved upper bound; the optimum is 2
     spec, params = GraphSpec.path_power(12, 2), SignalParams(4, 3)
@@ -159,7 +165,8 @@ def test_budget_exhaustion_is_explicit():
     assert result.witness.vertices == (0, 1, 9)
     assert result.nodes_explored == 11
     assert result.lower_bound == 2
-    assert verify_witness(result, spec, params)
+    assert (result.witness.spec, len(result.witness.vertices)) == (spec, result.gamma)
+    assert is_broadcasting(result.witness, params).ok
     with pytest.raises(InputError):
         solve(GraphSpec.path_power(5, 1), SignalParams(2, 1), node_budget=0)
 
@@ -190,7 +197,8 @@ def test_grid_8x8_proves_within_the_default_budget():
     result = solve(spec, params)
     assert result.proof_of_optimality
     assert result.gamma == 10
-    assert verify_witness(result, spec, params)
+    assert (result.witness.spec, len(result.witness.vertices)) == (spec, result.gamma)
+    assert is_broadcasting(result.witness, params).ok
 
 
 @st.composite
@@ -224,7 +232,8 @@ def test_budget_cut_witness_always_audits(case):
         assume(False)
     result = solve(spec, params, node_budget=budget)
     assert result.proof_of_optimality or result.nodes_explored == budget
-    assert verify_witness(result, spec, params)
+    assert (result.witness.spec, len(result.witness.vertices)) == (spec, result.gamma)
+    assert is_broadcasting(result.witness, params).ok
     assert result.lower_bound <= full.gamma <= result.gamma
     assert result.proof_of_optimality == (result.lower_bound == result.gamma)
 
@@ -252,42 +261,13 @@ def test_larger_budget_never_returns_a_worse_or_tied_other_set(case):
         assert more.witness == result.witness
 
 
-def test_verify_witness_rejects_tampering():
-    spec = GraphSpec.path_power(10, 1)
-    params = SignalParams(3, 2)
+def test_optimal_witness_fails_the_audit_without_any_one_tower():
+    spec, params = GraphSpec.path_power(10, 1), SignalParams(3, 2)
     result = solve(spec, params)
-
-    dropped = SolveResult(
-        gamma=result.gamma - 1,
-        witness=TowerSet(spec, result.witness.vertices[:-1]),
-        nodes_explored=0,
-        lower_bound=0,
-    )
-    assert not verify_witness(dropped, spec, params)
-
-    length_lie = SolveResult(
-        gamma=result.gamma,
-        witness=TowerSet(spec, result.witness.vertices[:-1]),
-        nodes_explored=0,
-        lower_bound=0,
-    )
-    assert not verify_witness(length_lie, spec, params)
-
-    wrong_graph = SolveResult(
-        gamma=result.gamma,
-        witness=result.witness,
-        nodes_explored=0,
-        lower_bound=0,
-    )
-    assert not verify_witness(wrong_graph, GraphSpec.path_power(11, 1), params)
-
-    empty = SolveResult(
-        gamma=0,
-        witness=TowerSet(spec, ()),
-        nodes_explored=0,
-        lower_bound=0,
-    )
-    assert not verify_witness(empty, spec, params)
+    for u in result.witness.vertices:
+        fewer = tuple(v for v in result.witness.vertices if v != u)
+        assert not is_broadcasting(TowerSet(spec, fewer), params).ok
+    assert not is_broadcasting(TowerSet(spec, ()), params).ok
 
 
 def test_solve_raises_when_its_witness_fails_the_audit(monkeypatch):
@@ -440,7 +420,8 @@ def test_cut_before_the_first_find_reports_the_dual_bound():
     assert not result.proof_of_optimality
     assert result.nodes_explored == 400
     assert result.lower_bound == 10 < result.gamma
-    assert verify_witness(result, spec, params)
+    assert (result.witness.spec, len(result.witness.vertices)) == (spec, result.gamma)
+    assert is_broadcasting(result.witness, params).ok
 
 
 # Nodes each run explores: pinned, since a change to the orbit map or
@@ -455,4 +436,5 @@ def test_ladder_proves_grids_the_capacity_bound_could_not(rows, t, r, gamma):
     assert result.proof_of_optimality
     assert result.gamma == result.lower_bound == gamma
     assert result.nodes_explored == LADDER_NODES[rows, t, r]
-    assert verify_witness(result, spec, params)
+    assert (result.witness.spec, len(result.witness.vertices)) == (spec, result.gamma)
+    assert is_broadcasting(result.witness, params).ok
