@@ -4,7 +4,9 @@ A configuration is a rank-2 integer lattice plus tower offsets, one set
 per fundamental domain. Everything here is exact: coordinates are
 integers, coefficients are rationals, densities and averages are
 fractions. Verifying one full set of coset representatives certifies
-the entire grid by periodicity.
+the entire grid by periodicity. A cell modulo the lattice has one
+name, its representative in fundamental_domain: reduce_point returns
+it, verify_periodic's witness and excess_report's per_vertex keys use it.
 
 Geometry conventions: distance is the Manhattan (ell-1) metric, and a
 tower at u delivers max(0, t - |u - v|_1) to the cell v. One field of
@@ -101,19 +103,10 @@ def config_from_json_dict(data: dict) -> LatticeConfig:
 
 
 def reduce_point(config: LatticeConfig, v: Vec) -> Vec:
-    """Canonical representative of v modulo the lattice.
-
-    Writes v = alpha*a + beta*b exactly and drops the integer parts, so
-    the result is the unique representative in the half-open fundamental
-    parallelogram {x*a + y*b : 0 <= x, y < 1}.
-    """
-    ax, ay = config.a
-    bx, by = config.b
-    det = config.det
-    # Cramer coefficients, floored exactly (Python // floors for any sign).
-    m = (v[0] * by - v[1] * bx) // det
-    n = (ax * v[1] - ay * v[0]) // det
-    return (v[0] - m * ax - n * bx, v[1] - m * ay - n * by)
+    """The cell of fundamental_domain congruent to v (see _cell)."""
+    i = _cell(config, v)
+    p1 = _fold(config)[0]
+    return (i % p1, i // p1)
 
 
 def density(config: LatticeConfig) -> Fraction:
@@ -124,11 +117,13 @@ def density(config: LatticeConfig) -> Fraction:
 def axis_periods(config: LatticeConfig) -> tuple[int, int]:
     """Minimal horizontal and vertical periods of the configuration.
 
-    Triangularizing the basis shows the lattice points on the x-axis
-    are generated by (|det| / gcd(a_y, b_y), 0), the p1 of _fold, and
-    symmetrically for the y-axis.
+    Both come from the Hermite basis (p1, 0), (j, s) of _fold. The
+    x-axis period is p1. A lattice point m*(p1, 0) + n*(j, s) lies on
+    the y-axis when p1 divides n*j, so the least such n is
+    p1 / gcd(p1, j) and the y-axis period is |det| / gcd(p1, j).
     """
-    return (_fold(config)[0], config.index // math.gcd(config.a[0], config.b[0]))
+    p1, _, j = _fold(config)
+    return (p1, config.index // math.gcd(p1, j))
 
 
 def fundamental_domain(config: LatticeConfig) -> list[Vec]:
@@ -264,9 +259,9 @@ def verify_periodic(config: LatticeConfig, params: SignalParams) -> PeriodicChec
 class ExcessReport:
     """Per-domain excess accounting for a periodic configuration.
 
-    per_vertex maps each canonical representative to (capped_signal,
-    excess). Totals are per fundamental domain; the average divides by
-    towers_per_domain and stays an exact fraction.
+    per_vertex maps each cell of fundamental_domain, in its order, to
+    (capped_signal, excess). Totals are per fundamental domain; the
+    average divides by towers_per_domain and stays an exact fraction.
     """
 
     params: SignalParams
@@ -287,13 +282,13 @@ class ExcessReport:
             "broadcasting": self.broadcasting,
             "per_vertex": [
                 {"vertex": list(v), "capped_signal": c, "excess": e}
-                for v, (c, e) in sorted(self.per_vertex.items())
+                for v, (c, e) in self.per_vertex.items()
             ],
         }
 
     def csv_rows(self) -> list[list]:
         rows: list[list] = [["x", "y", "capped_signal", "excess"]]
-        for (x, y), (c, e) in sorted(self.per_vertex.items()):
+        for (x, y), (c, e) in self.per_vertex.items():
             rows.append([x, y, c, e])
         return rows
 
@@ -301,11 +296,12 @@ class ExcessReport:
 def excess_report(config: LatticeConfig, params: SignalParams) -> ExcessReport:
     """Audit one fundamental domain cell by cell.
 
-    Reports capped signal and excess for every representative, the
-    domain total, and the exact per-tower average. A configuration that
-    fails to broadcast is still reported, flagged by the broadcasting
-    field (its deficient cells carry negative excess). Each cell's
-    representative is reduced once, for the per_vertex keys.
+    Reports capped signal and excess for every cell of
+    fundamental_domain, in its order, the domain total, and the exact
+    per-tower average. A configuration that fails to broadcast is still
+    reported, flagged by the broadcasting field: its deficient cells
+    carry negative excess, and the first of them is verify_periodic's
+    witness.
     """
     r = params.r
     field = _signal_field(config, params)
@@ -313,10 +309,7 @@ def excess_report(config: LatticeConfig, params: SignalParams) -> ExcessReport:
     return ExcessReport(
         params=params,
         period=axis_periods(config),
-        per_vertex={
-            reduce_point(config, cell): (c, c - r)
-            for cell, c in zip(fundamental_domain(config), field)
-        },
+        per_vertex={cell: (c, c - r) for cell, c in zip(fundamental_domain(config), field)},
         total_excess=total,
         towers_per_domain=len(config.offsets),
         avg_excess_per_tower=Fraction(total, len(config.offsets)),

@@ -318,6 +318,23 @@ def test_lattice_excess_json_and_csv(tmp_path):
     assert len(lines) == 42  # header + one row per residue
 
 
+def test_lattice_verify_witness_is_the_first_deficient_excess_row(tmp_path):
+    # verify and excess name cells alike, and both scan fundamental_domain order
+    args = ["--t3", "40", "-t", "40", "-r", "4"]
+    code, out, _ = run(["lattice", "verify", *args, "--json"])
+    assert code == 1
+    witness = json.loads(out)["witness"]
+    csv_file = tmp_path / "excess.csv"
+    code, out, _ = run(["lattice", "excess", *args, "--csv", str(csv_file)])
+    assert code == 0
+    rows = json.loads(out)["per_vertex"]
+    assert next(row["vertex"] for row in rows if row["excess"] < 0) == witness
+    assert csv_file.read_text().splitlines()[1:] == [
+        f"{row['vertex'][0]},{row['vertex'][1]},{row['capped_signal']},{row['excess']}"
+        for row in rows
+    ]
+
+
 def test_lattice_window_values_and_threshold():
     code, out, _ = run(["lattice", "window", "--t3", "5", "-t", "5", "-r", "3"])
     assert (code, out.strip()) == (0, "10")

@@ -1,5 +1,6 @@
 """Periodic configurations: reduction, density, verification, excess."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -39,6 +40,27 @@ def small_bases():
         st.tuples(st.integers(1, 5), st.integers(-5, 5)),
         st.tuples(st.integers(-5, 5), st.integers(1, 5)),
     ).filter(lambda ab: ab[0][0] * ab[1][1] - ab[0][1] * ab[1][0] != 0)
+
+
+def cramer_coefficients(config, v):
+    """(m, n) with m*a + n*b == v exactly, by Cramer's rule, as Fractions."""
+    (ax, ay), (bx, by) = config.a, config.b
+    det = config.det
+    return (Fraction(v[0] * by - v[1] * bx, det), Fraction(ax * v[1] - ay * v[0], det))
+
+
+def cramer_reduce(config, v):
+    """Oracle for congruence modulo the lattice: v's representative in
+    the half-open fundamental parallelogram {x*a + y*b : 0 <= x, y < 1}.
+
+    Writes v = m*a + n*b by Cramer's rule and drops the integer parts
+    of m and n. It shares nothing with lattice._fold, so it referees
+    _cell and reduce_point: two points get the same representative here
+    exactly when they are congruent.
+    """
+    m, n = (math.floor(c) for c in cramer_coefficients(config, v))
+    (ax, ay), (bx, by) = config.a, config.b
+    return (v[0] - m * ax - n * bx, v[1] - m * ay - n * by)
 
 
 # ------------------------------------------------------------ construction
@@ -104,6 +126,9 @@ def test_reduce_point_translation_invariance(ab, x, y, m, n):
     assert reduce_point(config, shifted) == reduce_point(config, (x, y))
     rep = reduce_point(config, (x, y))
     assert reduce_point(config, rep) == rep
+    assert rep in fundamental_domain(config)
+    m, n = cramer_coefficients(config, (x - rep[0], y - rep[1]))
+    assert m.denominator == n.denominator == 1  # v - rep is a lattice vector
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -111,13 +136,15 @@ def test_reduce_point_translation_invariance(ab, x, y, m, n):
 def test_axis_periods_are_minimal_lattice_points(ab):
     config = LatticeConfig(*ab)
     p1, p2 = axis_periods(config)
-    origin = reduce_point(config, (0, 0))
-    assert reduce_point(config, (p1, 0)) == origin
-    assert reduce_point(config, (0, p2)) == origin
+    # triangularizing the basis gives the y-axis period from the x-coordinates
+    assert p2 == config.index // math.gcd(ab[0][0], ab[1][0])
+    origin = cramer_reduce(config, (0, 0))
+    assert cramer_reduce(config, (p1, 0)) == origin
+    assert cramer_reduce(config, (0, p2)) == origin
     for q in range(1, min(p1, 30)):
-        assert reduce_point(config, (q, 0)) != origin
+        assert cramer_reduce(config, (q, 0)) != origin
     for q in range(1, min(p2, 30)):
-        assert reduce_point(config, (0, q)) != origin
+        assert cramer_reduce(config, (0, q)) != origin
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -126,22 +153,22 @@ def test_fundamental_domain_is_a_transversal(ab):
     config = LatticeConfig(*ab)
     domain = fundamental_domain(config)
     assert len(domain) == config.index
-    assert len({reduce_point(config, pt) for pt in domain}) == config.index
+    assert len({cramer_reduce(config, pt) for pt in domain}) == config.index
 
 
 def reference_field(config, params):
     """Oracle for _signal_field: a per-stamp fold.
 
-    Every point of every diamond goes through reduce_point. Returns the
+    Every point of every diamond goes through cramer_reduce. Returns the
     capped signal of each cell in fundamental_domain order.
     """
     t, r = params.t, params.r
-    capped = {reduce_point(config, cell): 0 for cell in fundamental_domain(config)}
+    capped = {cramer_reduce(config, cell): 0 for cell in fundamental_domain(config)}
     for ox, oy in config.offsets:
         for dy in range(1 - t, t):
             reach = t - 1 - abs(dy)
             for dx in range(-reach, reach + 1):
-                capped[reduce_point(config, (ox + dx, oy + dy))] += min(r, t - abs(dx) - abs(dy))
+                capped[cramer_reduce(config, (ox + dx, oy + dy))] += min(r, t - abs(dx) - abs(dy))
     return list(capped.values())
 
 
@@ -188,22 +215,23 @@ def test_fold_is_the_hermite_normal_form(ab, x, y):
     p1, s, j = _fold(config)
     assert (p1, p1 * s) == (axis_periods(config)[0], config.index)
     assert 0 <= j < p1
-    origin = reduce_point(config, (0, 0))
-    assert reduce_point(config, (p1, 0)) == origin
-    assert reduce_point(config, (j, s)) == origin
+    origin = cramer_reduce(config, (0, 0))
+    assert cramer_reduce(config, (p1, 0)) == origin
+    assert cramer_reduce(config, (j, s)) == origin
     domain = fundamental_domain(config)
     assert [_cell(config, pt) for pt in domain] == list(range(config.index))
     a, b = config.a, config.b
     cell = _cell(config, (x, y))
     assert _cell(config, (x + a[0], y + a[1])) == cell
     assert _cell(config, (x + b[0], y + b[1])) == cell
-    assert reduce_point(config, domain[cell]) == reduce_point(config, (x, y))
+    assert cramer_reduce(config, domain[cell]) == cramer_reduce(config, (x, y))
+    assert reduce_point(config, (x, y)) == domain[cell]
 
 
 def test_lattice_audits_fold_no_point_per_stamp(monkeypatch):
-    # Once the config is built, only excess_report reduces points: one
-    # per cell, for its per_vertex keys. A per-stamp fold would make
-    # offsets x (2t^2 - 2t + 1) calls in each audit.
+    # Once the config is built, no audit reduces a point: excess_report
+    # keys per_vertex by the fundamental_domain cells themselves. A
+    # per-stamp fold would make offsets x (2t^2 - 2t + 1) calls in each.
     config = LatticeConfig((4, 3), (3, -4), offsets=((0, 0), (2, 1)))
     params = SignalParams(7, 3)
     tiling = t3_tiling(9)
@@ -219,9 +247,9 @@ def test_lattice_audits_fold_no_point_per_stamp(monkeypatch):
     promote_check(tiling, 9, 2, 2)
     window_excess(config, params, (2, 1), "N")
     excess_at(config, params, (5, -3))
-    assert calls == []
     excess_report(config, params)
-    assert len(calls) == config.index
+    excess_report(config, SignalParams(2, 3))
+    assert calls == []
 
 
 def test_signal_field_refuses_an_oversized_domain(monkeypatch):
@@ -273,10 +301,11 @@ def test_underpowered_tiling_fails_with_witness():
     assert not check.ok
     assert check.witness == (2, 0)
     assert check.signal == 2
-    # the witness really is deficient
+    # the witness really is deficient, under the name the report uses
     config = t3_tiling(5)
     report = excess_report(config, SignalParams(4, 3))
-    assert report.per_vertex[reduce_point(config, check.witness)] == (2, -1)
+    assert report.per_vertex[check.witness] == (2, -1)
+    assert reduce_point(config, check.witness) == check.witness
 
 
 def test_perfect_cover_hears_exactly_one_tower():
@@ -284,13 +313,13 @@ def test_perfect_cover_hears_exactly_one_tower():
     # when it reduces to the same cell as one of the offsets.
     for t in (2, 3, 5, 8):
         config = t1_tiling(t)
-        tower_cells = {reduce_point(config, o) for o in config.offsets}
+        tower_cells = {cramer_reduce(config, o) for o in config.offsets}
         for px, py in fundamental_domain(config):
             heard = [
                 (px + dx, py + dy)
                 for dy in range(1 - t, t)
                 for dx in range(abs(dy) - t + 1, t - abs(dy))
-                if reduce_point(config, (px + dx, py + dy)) in tower_cells
+                if cramer_reduce(config, (px + dx, py + dy)) in tower_cells
             ]
             assert len(heard) == 1
 
@@ -352,6 +381,25 @@ def test_report_flags_deficient_configuration():
     report = excess_report(t3_tiling(5), SignalParams(4, 3))
     assert not report.broadcasting
     assert any(e < 0 for _, e in report.per_vertex.values())
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(small_bases(),
+       st.lists(st.tuples(st.integers(-30, 30), st.integers(-30, 30)), min_size=1, max_size=4),
+       st.integers(1, 5), st.integers(1, 3))
+def test_report_and_verdict_name_cells_alike(ab, offsets, t, shortfall):
+    # r sits 1 to 3 above the least raw signal (capping at r = t changes
+    # nothing), so every drawn (t, r) fails and has a witness
+    try:
+        config = LatticeConfig(*ab, offsets=tuple(offsets))
+    except InputError:
+        assume(False)
+    params = SignalParams(t, min(_signal_field(config, SignalParams(t, t))) + shortfall)
+    check = verify_periodic(config, params)
+    report = excess_report(config, params)
+    assert list(report.per_vertex) == fundamental_domain(config)
+    first = next(v for v, (_, e) in report.per_vertex.items() if e < 0)
+    assert first == check.witness
 
 
 # -------------------------------------------------------------- windowing
@@ -506,7 +554,7 @@ def test_excess_report_agrees_with_torus_audit(config, params):
     r = params.r
     for cell, row in zip(domain, torus_gains(spec, towers, params.t, domain)):
         raw, capped = sum(row), sum(min(r, g) for g in row)
-        assert report.per_vertex[reduce_point(config, cell)] == (capped, capped - r)
+        assert report.per_vertex[cell] == (capped, capped - r)
         # below demand no tower is capped, so the capped field is the raw sum
         if raw < r:
             assert capped == raw
@@ -568,7 +616,7 @@ def test_verify_periodic_agrees_with_torus_on_random_configs():
         assert report.broadcasting == check.ok
         for cell, row in zip(domain, gains):
             capped = sum(min(params.r, g) for g in row)
-            assert report.per_vertex[reduce_point(config, cell)] == (capped, capped - params.r)
+            assert report.per_vertex[cell] == (capped, capped - params.r)
         checked += 1
         multi += len(offsets) > 1
         wide += t - 1 > longest
