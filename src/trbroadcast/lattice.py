@@ -7,6 +7,9 @@ fractions. Verifying one full set of coset representatives certifies
 the entire grid by periodicity. A cell modulo the lattice has one
 name, its representative in fundamental_domain: reduce_point returns
 it, verify_periodic's witness and excess_report's per_vertex keys use it.
+Inside this module a cell is its position in that list: each call
+computes the Hermite normal form (_fold) once, maps every point with
+_cell, and compares cells by position.
 
 Geometry conventions: distance is the Manhattan (ell-1) metric, and a
 tower at u delivers max(0, t - |u - v|_1) to the cell v. One field of
@@ -16,7 +19,9 @@ r hears every tower below r, so no cap applies there and its capped sum
 is its raw sum. The field is a flat list over the transversal of
 fundamental_domain, stamped as 2t - 1 row slices per tower offset: the
 Hermite normal form of the lattice (see _fold) sends each row of a
-diamond onto one cyclic row of the transversal.
+diamond onto one cyclic row of the transversal. Its size and its work,
+|det| cells and offsets x (2t^2 - 2t + 1) stamps, are each bounded by
+MAX_FIELD_CELLS.
 """
 
 from __future__ import annotations
@@ -35,9 +40,11 @@ Vec = tuple[int, int]
 # N/W/S are the successive quarter turns of E.
 _WINDOW_FRAMES = {"E": (1, 0), "N": (0, 1), "W": (-1, 0), "S": (0, -1)}
 
-# Largest fundamental domain whose signal field is built, in cells. It
-# admits t3_tiling(t) up to t = 1,449; the benchmark's largest domain
-# has 19,801 cells.
+# Largest signal field that is built: at most this many cells, and at
+# most this many stamps, offsets x (2t^2 - 2t + 1). It admits
+# t3_tiling(t) up to t = 1,448, where the stamps bind first; the
+# benchmark's largest domain has 19,801 cells, and CI's t3_tiling(300)
+# makes 179,401 stamps.
 MAX_FIELD_CELLS = 1 << 22
 
 
@@ -63,14 +70,15 @@ class LatticeConfig:
             raise InputError("basis vectors must be linearly independent")
         if not self.offsets:
             raise InputError("need at least one tower offset")
+        fold = _fold(self)
         seen = set()
         for o in self.offsets:
             if len(o) != 2 or not all(type(c) is int for c in o):
                 raise InputError("offsets must be integer pairs")
-            rep = reduce_point(self, o)
-            if rep in seen:
+            cell = _cell(fold, o)
+            if cell in seen:
                 raise InputError(f"offset {o} duplicates another offset modulo the lattice")
-            seen.add(rep)
+            seen.add(cell)
 
     @property
     def det(self) -> int:
@@ -104,9 +112,9 @@ def config_from_json_dict(data: dict) -> LatticeConfig:
 
 def reduce_point(config: LatticeConfig, v: Vec) -> Vec:
     """The cell of fundamental_domain congruent to v (see _cell)."""
-    i = _cell(config, v)
-    p1 = _fold(config)[0]
-    return (i % p1, i // p1)
+    fold = _fold(config)
+    i = _cell(fold, v)
+    return (i % fold[0], i // fold[0])
 
 
 def density(config: LatticeConfig) -> Fraction:
@@ -158,13 +166,13 @@ def _fold(config: LatticeConfig) -> tuple[int, int, int]:
     return p1, g, (u * ax + v * bx) % p1
 
 
-def _cell(config: LatticeConfig, point: Vec) -> int:
+def _cell(fold: tuple[int, int, int], point: Vec) -> int:
     """Position of point's cell in fundamental_domain order.
 
-    Subtracting q*(j, s) brings the y coordinate into [0, s), and the x
-    coordinate then reduces modulo p1 (see _fold).
+    fold is _fold's (p1, s, j), computed once by the caller. Subtracting
+    q*(j, s) brings y into [0, s), and x then reduces modulo p1.
     """
-    p1, s, j = _fold(config)
+    p1, s, j = fold
     q, y = divmod(point[1], s)
     return y * p1 + (point[0] - q * j) % p1
 
@@ -182,8 +190,10 @@ def _signal_field(config: LatticeConfig, params: SignalParams) -> list[int]:
     value below r is the cell's raw sum, and a value of at least r
     means the raw sum is too. The cost is 2t - 1 row slices per offset
     on a flat list of |det| cells, whatever the caller reads
-    afterwards: there is no early exit. A domain of more than
-    MAX_FIELD_CELLS cells is refused before anything is allocated.
+    afterwards: there is no early exit. The slices add offsets x
+    (2t^2 - 2t + 1) stamps in all, however small the domain. A domain
+    of more than MAX_FIELD_CELLS cells, or a field of more stamps than
+    that, is refused before anything is allocated, cells checked first.
     """
     cells = config.index
     if cells > MAX_FIELD_CELLS:
@@ -192,6 +202,12 @@ def _signal_field(config: LatticeConfig, params: SignalParams) -> list[int]:
             f"over the limit of {MAX_FIELD_CELLS}"
         )
     t, r = params.t, params.r
+    stamps = len(config.offsets) * (2 * t * t - 2 * t + 1)
+    if stamps > MAX_FIELD_CELLS:
+        raise InputError(
+            f"signal field at t = {t} needs {stamps} stamps, offsets x "
+            f"(2t^2 - 2t + 1), over the limit of {MAX_FIELD_CELLS}"
+        )
     p1, s, j = _fold(config)
     up = [min(r, i) for i in range(1, t + 1)]
     down = up[::-1]
@@ -219,7 +235,7 @@ def excess_at(config: LatticeConfig, params: SignalParams, point: Vec) -> int:
     Builds the whole field, 2t - 1 row slices per offset on a flat list
     of |det| cells, to read one position of it.
     """
-    return _signal_field(config, params)[_cell(config, point)] - params.r
+    return _signal_field(config, params)[_cell(_fold(config), point)] - params.r
 
 
 @dataclass(frozen=True)
@@ -339,14 +355,15 @@ def window_excess(
         raise InputError(
             f"orientation must be one of {tuple(_WINDOW_FRAMES)}, got {orientation!r}"
         )
-    offset_cells = {_cell(config, o) for o in config.offsets}
-    if _cell(config, tower) not in offset_cells:
+    fold = _fold(config)
+    offset_cells = {_cell(fold, o) for o in config.offsets}
+    if _cell(fold, tower) not in offset_cells:
         raise InputError(f"{tower} is not a tower of this configuration")
     ux, uy = _WINDOW_FRAMES[orientation]
     field = _signal_field(config, params)
     tx, ty = tower
     return sum(
-        field[_cell(config, (tx + dx * ux - dy * uy, ty + dx * uy + dy * ux))] - params.r
+        field[_cell(fold, (tx + dx * ux - dy * uy, ty + dx * uy + dy * ux))] - params.r
         for dx in range(t - 4, t + 3)
         for dy in range(-4, 5)
     )
@@ -369,8 +386,6 @@ def promote_check(config: LatticeConfig, t: int, base_r: int, k: int) -> bool:
             f"configuration does not broadcast at (t={t}, r={base_r}); "
             f"cell {base.witness} collects {base.signal}"
         )
-    if k == 0:
-        return True
     return verify_periodic(config, SignalParams(t + k, base_r + 2 * k)).ok
 
 
@@ -468,19 +483,18 @@ def promotion_excess_profile(t: int, k: int) -> PromotionProfile:
     report = excess_report(config, params)
 
     square = tuple((x, y) for y in range(-(k - 1), k + 1) for x in range(-k, k))
-    observed_at = {
-        pt: report.per_vertex[reduce_point(config, pt)][1] for pt in square
-    }
+    fold = _fold(config)
+    cells = {pt: _cell(fold, pt) for pt in square}
+    excess = [e for _, e in report.per_vertex.values()]
     diagonals: dict[int, list[int]] = {}
-    for (x, y), e in observed_at.items():
-        diagonals.setdefault(x + y, []).append(e)
+    for (x, y), i in cells.items():
+        diagonals.setdefault(x + y, []).append(excess[i])
     per_diagonal = tuple(
         DiagonalExcess(i, 2 * k - 2 * i - 1, tuple(sorted(vals)))
         for i, vals in sorted(diagonals.items())
     )
 
-    square_reps = {reduce_point(config, pt) for pt in square}
-    positives = {rep for rep, (_, e) in report.per_vertex.items() if e > 0}
+    positives = {i for i, e in enumerate(excess) if e > 0}
     claimed_total = Fraction(k * (k + 1) * (2 * k + 1), 6)
     return PromotionProfile(
         t=t,
@@ -488,10 +502,10 @@ def promotion_excess_profile(t: int, k: int) -> PromotionProfile:
         audit_params=params,
         square=square,
         per_diagonal=per_diagonal,
-        square_excess_sum=sum(observed_at.values()),
+        square_excess_sum=sum(excess[i] for i in cells.values()),
         domain_total_excess=report.total_excess,
         average_per_tower=report.avg_excess_per_tower,
         claimed_total=claimed_total,
-        all_excess_inside_square=positives <= square_reps,
+        all_excess_inside_square=positives <= set(cells.values()),
         matches_claimed=report.avg_excess_per_tower == claimed_total,
     )

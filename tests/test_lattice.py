@@ -219,11 +219,12 @@ def test_fold_is_the_hermite_normal_form(ab, x, y):
     assert cramer_reduce(config, (p1, 0)) == origin
     assert cramer_reduce(config, (j, s)) == origin
     domain = fundamental_domain(config)
-    assert [_cell(config, pt) for pt in domain] == list(range(config.index))
+    fold = (p1, s, j)
+    assert [_cell(fold, pt) for pt in domain] == list(range(config.index))
     a, b = config.a, config.b
-    cell = _cell(config, (x, y))
-    assert _cell(config, (x + a[0], y + a[1])) == cell
-    assert _cell(config, (x + b[0], y + b[1])) == cell
+    cell = _cell(fold, (x, y))
+    assert _cell(fold, (x + a[0], y + a[1])) == cell
+    assert _cell(fold, (x + b[0], y + b[1])) == cell
     assert cramer_reduce(config, domain[cell]) == cramer_reduce(config, (x, y))
     assert reduce_point(config, (x, y)) == domain[cell]
 
@@ -252,13 +253,47 @@ def test_lattice_audits_fold_no_point_per_stamp(monkeypatch):
     assert calls == []
 
 
+def test_lattice_calls_fold_a_fixed_number_of_times(monkeypatch):
+    # Each call folds its basis a fixed number of times and hands the
+    # fold to _cell, however many points it maps: the profile maps
+    # 2k x 2k cells and window_excess its 63 window cells.
+    calls = []
+
+    def counting(cfg):
+        calls.append(cfg)
+        return _fold(cfg)
+
+    def folds(call):
+        calls.clear()
+        call()
+        return len(calls)
+
+    monkeypatch.setattr(lattice, "_fold", counting)
+    config, params = t3_tiling(40), SignalParams(40, 3)
+    assert folds(lambda: promotion_excess_profile(60, 3)) == 5
+    assert folds(lambda: promotion_excess_profile(60, 10)) == 5
+    for orientation in ("E", "N", "W", "S"):
+        assert folds(lambda: window_excess(config, params, (0, 0), orientation)) == 2
+    assert folds(lambda: excess_at(config, params, (5, -3))) == 2
+    offsets = tuple((x, y) for x in range(3) for y in range(3))
+    assert folds(lambda: LatticeConfig((3, 0), (0, 3), offsets)) == 1
+
+
 def test_signal_field_refuses_an_oversized_domain(monkeypatch):
-    monkeypatch.setattr(lattice, "MAX_FIELD_CELLS", 25)
+    # t3_tiling(5) at t = 5: 25 cells and 41 stamps, both at most 41.
+    monkeypatch.setattr(lattice, "MAX_FIELD_CELLS", 41)
     assert len(_signal_field(t3_tiling(5), SignalParams(5, 3))) == 25
-    with pytest.raises(InputError, match=r"\|det\| = 41 cells, over the limit of 25"):
-        _signal_field(t1_tiling(5), SignalParams(5, 1))
+    # 61 cells and 61 stamps: the cells are checked first.
+    with pytest.raises(InputError, match=r"\|det\| = 61 cells, over the limit of 41"):
+        _signal_field(t1_tiling(6), SignalParams(6, 1))
     with pytest.raises(InputError, match="over the limit"):
-        verify_periodic(t1_tiling(5), SignalParams(5, 1))
+        verify_periodic(t1_tiling(6), SignalParams(6, 1))
+    # 25 cells, but 61 stamps at t = 6, or 2 x 41 with two offsets.
+    with pytest.raises(InputError, match=r"t = 6 needs 61 stamps.*over the limit of 41"):
+        _signal_field(t3_tiling(5), SignalParams(6, 3))
+    two = LatticeConfig(t3_tiling(5).a, t3_tiling(5).b, ((0, 0), (1, 0)))
+    with pytest.raises(InputError, match=r"t = 5 needs 82 stamps.*over the limit of 41"):
+        verify_periodic(two, SignalParams(5, 3))
 
 
 def test_axis_periods_examples():
