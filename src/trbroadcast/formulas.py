@@ -1,8 +1,9 @@
 """Closed forms and explicit constructions for path and cycle powers.
 
 The builders return certified tower sets of exactly the closed-form
-size: each computes its tower list once, and one shared audit checks
-the size and the broadcasting property before the set is returned.
+size: each refuses n > errors.MAX_ENTRIES, computes its tower list
+once, and one shared audit checks the size and the broadcasting
+property before the set is returned. The closed forms take any n.
 
 The cycle count is exact everywhere we have tested. The path count is
 exact except on a handful of instances with r = t and k >= 2, where it
@@ -13,7 +14,7 @@ construct_path_towers.
 
 from __future__ import annotations
 
-from .errors import InputError
+from .errors import InputError, check_entries
 from .graphs import GraphSpec
 from .signal import SignalParams, TowerSet, is_broadcasting
 
@@ -90,6 +91,7 @@ def construct_path_towers(n: int, k: int, t: int, r: int) -> TowerSet:
     end short; the builder uses the corrected window.
     """
     _validate(n, k, t, r)
+    check_entries(n, lambda: f"construction on n = {n} vertices")
     period = _period(k, t, r)
     lead = (t - r) * k
     towers = list(range(lead, n, period))
@@ -105,6 +107,7 @@ def construct_cycle_towers(n: int, k: int, t: int, r: int) -> TowerSet:
     period around the cycle, matching the three regimes of the count.
     """
     _validate(n, k, t, r)
+    check_entries(n, lambda: f"construction on n = {n} vertices")
     period = _period(k, t, r)
     if n <= 2 * (t - r) * k + 1:
         towers = [0]

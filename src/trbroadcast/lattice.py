@@ -21,7 +21,7 @@ fundamental_domain, stamped as 2t - 1 row slices per tower offset: the
 Hermite normal form of the lattice (see _fold) sends each row of a
 diamond onto one cyclic row of the transversal. Its size and its work,
 |det| cells and offsets x (2t^2 - 2t + 1) stamps, are each bounded by
-MAX_FIELD_CELLS.
+errors.MAX_ENTRIES.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import operator
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, check_entries
 from .signal import SignalParams
 
 Vec = tuple[int, int]
@@ -39,13 +39,6 @@ Vec = tuple[int, int]
 # Window orientations: the unit step u from the tower towards its window.
 # N/W/S are the successive quarter turns of E.
 _WINDOW_FRAMES = {"E": (1, 0), "N": (0, 1), "W": (-1, 0), "S": (0, -1)}
-
-# Largest signal field that is built: at most this many cells, and at
-# most this many stamps, offsets x (2t^2 - 2t + 1). It admits
-# t3_tiling(t) up to t = 1,448, where the stamps bind first; the
-# benchmark's largest domain has 19,801 cells, and CI's t3_tiling(300)
-# makes 179,401 stamps.
-MAX_FIELD_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -192,22 +185,15 @@ def _signal_field(config: LatticeConfig, params: SignalParams) -> list[int]:
     on a flat list of |det| cells, whatever the caller reads
     afterwards: there is no early exit. The slices add offsets x
     (2t^2 - 2t + 1) stamps in all, however small the domain. A domain
-    of more than MAX_FIELD_CELLS cells, or a field of more stamps than
-    that, is refused before anything is allocated, cells checked first.
+    of more than errors.MAX_ENTRIES cells, or a field of more stamps
+    than that, is refused before anything is allocated, cells checked first.
     """
     cells = config.index
-    if cells > MAX_FIELD_CELLS:
-        raise InputError(
-            f"fundamental domain has |det| = {cells} cells, "
-            f"over the limit of {MAX_FIELD_CELLS}"
-        )
+    check_entries(cells, lambda: f"fundamental domain has |det| = {cells} cells")
     t, r = params.t, params.r
     stamps = len(config.offsets) * (2 * t * t - 2 * t + 1)
-    if stamps > MAX_FIELD_CELLS:
-        raise InputError(
-            f"signal field at t = {t} needs {stamps} stamps, offsets x "
-            f"(2t^2 - 2t + 1), over the limit of {MAX_FIELD_CELLS}"
-        )
+    check_entries(stamps, lambda: f"signal field at t = {t} needs {stamps} stamps, "
+                  "offsets x (2t^2 - 2t + 1)")
     p1, s, j = _fold(config)
     up = [min(r, i) for i in range(1, t + 1)]
     down = up[::-1]

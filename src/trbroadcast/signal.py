@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import InputError, check_entries
 from .graphs import GraphSpec, format_graph_spec, near, parse_graph_spec
 
 
@@ -80,11 +80,14 @@ def is_broadcasting(towers: TowerSet, params: SignalParams) -> BroadcastCheck:
     Stamps t - d over the radius t - 1 ball of each tower into one field,
     then scans it in index order. The cost is towers x |ball| kernel
     entries, never more than towers x V, plus one pass over V. There is
-    no early exit: a shortfall at a small index costs a full stamp.
+    no early exit: a shortfall at a small index costs a full stamp. A
+    graph of more than errors.MAX_ENTRIES vertices is refused first.
     """
     spec = towers.spec
     t, r = params.t, params.r
-    raw = [0] * spec.num_vertices
+    nv = spec.num_vertices
+    check_entries(nv, lambda: f"{format_graph_spec(spec)} has {nv} vertices")
+    raw = [0] * nv
     for u in towers.vertices:
         for v, d in near(spec, u, t - 1):
             raw[v] += t - d

@@ -78,7 +78,7 @@ Set-up builds one table, `cover`, from one radius t - 1 kernel call
 (`graphs.near`) per vertex, so it costs V x |ball| entries rather than
 V^2 distance calls. Distance is symmetric, so a vertex's list names
 both the vertices its tower serves and its own candidate towers. A spec
-whose table could exceed MAX_COVER_ENTRIES entries is refused before
+whose table could exceed errors.MAX_ENTRIES entries is refused before
 anything is allocated.
 
 Before it returns, `solve` re-audits its witness with `is_broadcasting`,
@@ -93,7 +93,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import ceil, lcm
 
-from .errors import InputError
+from .errors import InputError, check_entries
 from .graphs import Family, GraphSpec, format_graph_spec, near, reflection_orbits
 from .signal import SignalParams, TowerSet, is_broadcasting, weighted_bound
 
@@ -108,10 +108,6 @@ DEFAULT_NODE_BUDGET = 2_000_000
 # paths with n = 25 to 72, 196 of the 238 searches that needed more
 # than 512 nodes ran slower with the LP (1.97 s in all, 3.18 s with it).
 ORBIT_CAP = 21
-# Most entries the cover table may hold, bounded before it is built by
-# V times the closed-form ball size. It admits torus:41x41 at t = 21
-# (1,681 x 841 entries), the largest spec the tests or the benchmark solve.
-MAX_COVER_ENTRIES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -317,8 +313,8 @@ def solve(spec: GraphSpec, params: SignalParams, node_budget: int = DEFAULT_NODE
     Deterministic: identical inputs explore identical node sequences.
     Any witness returned has passed is_broadcasting.
     Raises InputError when no tower set at all can meet the demand
-    (possible only for t < r), or when the cover table could exceed
-    MAX_COVER_ENTRIES.
+    (possible only for t < r), or when the cover table, bounded by V
+    times the closed-form ball size, could exceed errors.MAX_ENTRIES.
     """
     if node_budget < 1:
         raise InputError(f"node budget must be positive, got {node_budget}")
@@ -329,9 +325,8 @@ def solve(spec: GraphSpec, params: SignalParams, node_budget: int = DEFAULT_NODE
     else:
         ball = 2 * t * t - 2 * t + 1
     entries = nv * min(nv, ball)
-    if entries > MAX_COVER_ENTRIES:
-        raise InputError(f"{format_graph_spec(spec)} at t={t} needs a cover table of up to "
-                         f"{entries} entries, over the limit of {MAX_COVER_ENTRIES}")
+    check_entries(entries, lambda: f"{format_graph_spec(spec)} at t={t} needs a cover "
+                  f"table of up to {entries} entries")
 
     # cover[u]: (vertex, gain) for every vertex a tower at u would serve,
     # which are also the candidate towers that would raise u's signal.

@@ -119,9 +119,6 @@ def test_solve_over_the_table_limit_exits_2():
     # 10^10 vertices are refused before the cover table is built. The
     # run gets a 1 GiB address-space cap, so a missing guard fails fast
     # instead of filling memory.
-    def cap_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
     proc = subprocess.run([sys.executable, "-m", "trbroadcast", "solve", "torus:100000x100000",
                            "-t", "2", "-r", "1"], capture_output=True, text=True,
                           env=src_env(), preexec_fn=cap_memory, timeout=60)
@@ -138,15 +135,31 @@ def test_solve_over_the_table_limit_exits_2():
     ("torus:2x2", 5, 4 * 4),
 ])
 def test_solve_table_limit_counts_v_times_the_ball(monkeypatch, spec, t, entries):
-    import trbroadcast.solver as solver
+    import trbroadcast.errors as errors
 
     argv = ["solve", spec, "-t", str(t), "-r", "1"]
-    monkeypatch.setattr(solver, "MAX_COVER_ENTRIES", entries - 1)
+    monkeypatch.setattr(errors, "MAX_ENTRIES", entries - 1)
     code, out, err = run(argv)
     assert (code, out) == (2, "")
     assert err.endswith(f" {entries} entries, over the limit of {entries - 1}\n")
-    monkeypatch.setattr(solver, "MAX_COVER_ENTRIES", entries)
+    monkeypatch.setattr(errors, "MAX_ENTRIES", entries)
     assert run(argv)[0] == 0
+
+
+def test_verify_and_construct_over_the_vertex_limit_exit_2(tmp_path):
+    # The audit behind verify, and the builders before they list any
+    # tower, refuse 10^10 and 10^9 vertices under the same 1 GiB cap as
+    # solve above. The closed form builds nothing and still answers.
+    towers = tmp_path / "towers.json"
+    towers.write_text(json.dumps({"spec": "torus:100000x100000", "towers": [0]}))
+    for argv in (["verify", str(towers)], ["construct", "path", "-n", "1000000000", "-k", "1"]):
+        proc = subprocess.run([sys.executable, "-m", "trbroadcast", *argv, "-t", "2", "-r", "1"],
+                              capture_output=True, text=True, env=src_env(),
+                              preexec_fn=cap_memory, timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "over the limit of 4194304" in proc.stderr
+    code, out, _ = run(["formula", "path", "-n", "1000000000", "-k", "1", "-t", "2", "-r", "1"])
+    assert (code, out) == (0, "333333334\n")
 
 
 def test_internal_error_exits_4_and_still_writes_the_manifest(tmp_path, monkeypatch):
@@ -626,6 +639,11 @@ def test_readme_quick_tour_outputs(tmp_path, monkeypatch):
 
 
 # ------------------------------------------------------- console script
+
+
+def cap_memory():
+    """Cap the calling process's address space at 1 GiB."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
 def src_env():

@@ -15,6 +15,7 @@ from trbroadcast import (
     gamma_path_power,
     is_broadcasting,
 )
+from trbroadcast import errors
 from trbroadcast.formulas import _period
 
 
@@ -137,6 +138,22 @@ def test_constructions_are_certified_over_a_grid_of_inputs():
                     cycle = construct_cycle_towers(n, k, t, r)
                     assert len(cycle.vertices) == gamma_cycle_power(n, k, t, r)
                     assert is_broadcasting(cycle, params).ok
+
+
+def test_audit_and_builders_refuse_one_vertex_over_the_limit(monkeypatch):
+    # Accepted at the limit, refused one vertex above it: the builders
+    # before they list a tower, the audit before it allocates a signal.
+    monkeypatch.setattr(errors, "MAX_ENTRIES", 12)
+    params = SignalParams(2, 1)
+    for build in (construct_path_towers, construct_cycle_towers):
+        assert is_broadcasting(build(12, 1, 2, 1), params).ok
+        with pytest.raises(InputError, match=r"^construction on n = 13 vertices, "
+                                             r"over the limit of 12$"):
+            build(13, 1, 2, 1)
+    assert gamma_path_power(13, 1, 2, 1) == 5
+    assert not is_broadcasting(TowerSet(GraphSpec.path_power(12, 1), (0,)), params).ok
+    with pytest.raises(InputError, match=r"^path:n=13,k=1 has 13 vertices, over the limit of 12$"):
+        is_broadcasting(TowerSet(GraphSpec.path_power(13, 1), (0,)), params)
 
 
 def test_path_formula_overcounts_when_strength_equals_demand():

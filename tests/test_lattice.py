@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from trbroadcast import lattice
+from trbroadcast import errors, lattice
 from trbroadcast import (
     GraphSpec,
     InputError,
@@ -229,34 +229,11 @@ def test_fold_is_the_hermite_normal_form(ab, x, y):
     assert reduce_point(config, (x, y)) == domain[cell]
 
 
-def test_lattice_audits_fold_no_point_per_stamp(monkeypatch):
-    # Once the config is built, no audit reduces a point: excess_report
-    # keys per_vertex by the fundamental_domain cells themselves. A
-    # per-stamp fold would make offsets x (2t^2 - 2t + 1) calls in each.
-    config = LatticeConfig((4, 3), (3, -4), offsets=((0, 0), (2, 1)))
-    params = SignalParams(7, 3)
-    tiling = t3_tiling(9)
-    calls = []
-
-    def counting(cfg, v):
-        calls.append(v)
-        return reduce_point(cfg, v)
-
-    monkeypatch.setattr(lattice, "reduce_point", counting)
-    verify_periodic(config, params)
-    verify_periodic(config, SignalParams(2, 3))  # a FAIL
-    promote_check(tiling, 9, 2, 2)
-    window_excess(config, params, (2, 1), "N")
-    excess_at(config, params, (5, -3))
-    excess_report(config, params)
-    excess_report(config, SignalParams(2, 3))
-    assert calls == []
-
-
 def test_lattice_calls_fold_a_fixed_number_of_times(monkeypatch):
     # Each call folds its basis a fixed number of times and hands the
     # fold to _cell, however many points it maps: the profile maps
-    # 2k x 2k cells and window_excess its 63 window cells.
+    # 2k x 2k cells, window_excess its 63 window cells, and every audit
+    # stamps offsets x (2t^2 - 2t + 1) cells, OK or FAIL.
     calls = []
 
     def counting(cfg):
@@ -277,11 +254,21 @@ def test_lattice_calls_fold_a_fixed_number_of_times(monkeypatch):
     assert folds(lambda: excess_at(config, params, (5, -3))) == 2
     offsets = tuple((x, y) for x in range(3) for y in range(3))
     assert folds(lambda: LatticeConfig((3, 0), (0, 3), offsets)) == 1
+    skew, tiling = LatticeConfig((4, 3), (3, -4), ((0, 0), (2, 1))), t3_tiling(9)
+    ok, fail = SignalParams(7, 3), SignalParams(2, 3)
+    assert verify_periodic(skew, ok).ok and not verify_periodic(skew, fail).ok
+    assert folds(lambda: verify_periodic(skew, ok)) == 1
+    assert folds(lambda: verify_periodic(skew, fail)) == 2
+    assert folds(lambda: promote_check(tiling, 9, 2, 2)) == 2
+    assert folds(lambda: window_excess(skew, ok, (2, 1), "N")) == 2
+    assert folds(lambda: excess_at(skew, ok, (5, -3))) == 2
+    assert folds(lambda: excess_report(skew, ok)) == 3
+    assert folds(lambda: excess_report(skew, fail)) == 3
 
 
 def test_signal_field_refuses_an_oversized_domain(monkeypatch):
     # t3_tiling(5) at t = 5: 25 cells and 41 stamps, both at most 41.
-    monkeypatch.setattr(lattice, "MAX_FIELD_CELLS", 41)
+    monkeypatch.setattr(errors, "MAX_ENTRIES", 41)
     assert len(_signal_field(t3_tiling(5), SignalParams(5, 3))) == 25
     # 61 cells and 61 stamps: the cells are checked first.
     with pytest.raises(InputError, match=r"\|det\| = 61 cells, over the limit of 41"):
