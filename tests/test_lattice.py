@@ -229,11 +229,8 @@ def test_fold_is_the_hermite_normal_form(ab, x, y):
     assert reduce_point(config, (x, y)) == domain[cell]
 
 
-def test_lattice_calls_fold_a_fixed_number_of_times(monkeypatch):
-    # Each call folds its basis a fixed number of times and hands the
-    # fold to _cell, however many points it maps: the profile maps
-    # 2k x 2k cells, window_excess its 63 window cells, and every audit
-    # stamps offsets x (2t^2 - 2t + 1) cells, OK or FAIL.
+def _fold_counter(monkeypatch):
+    # Returns folds(call): how many times call() folds a basis.
     calls = []
 
     def counting(cfg):
@@ -246,6 +243,14 @@ def test_lattice_calls_fold_a_fixed_number_of_times(monkeypatch):
         return len(calls)
 
     monkeypatch.setattr(lattice, "_fold", counting)
+    return folds
+
+
+def test_lattice_calls_fold_a_fixed_number_of_times(monkeypatch):
+    # Each call folds its basis a fixed number of times and hands the
+    # fold to _cell, however many points it maps: the profile maps
+    # 2k x 2k cells and window_excess its 63 window cells.
+    folds = _fold_counter(monkeypatch)
     config, params = t3_tiling(40), SignalParams(40, 3)
     assert folds(lambda: promotion_excess_profile(60, 3)) == 5
     assert folds(lambda: promotion_excess_profile(60, 10)) == 5
@@ -254,6 +259,13 @@ def test_lattice_calls_fold_a_fixed_number_of_times(monkeypatch):
     assert folds(lambda: excess_at(config, params, (5, -3))) == 2
     offsets = tuple((x, y) for x in range(3) for y in range(3))
     assert folds(lambda: LatticeConfig((3, 0), (0, 3), offsets)) == 1
+
+
+def test_lattice_audits_fold_no_point_per_stamp(monkeypatch):
+    # Every audit stamps offsets x (2t^2 - 2t + 1) cells, OK or FAIL,
+    # yet folds its basis a fixed number of times: a per-stamp fold
+    # would scale with the stamps.
+    folds = _fold_counter(monkeypatch)
     skew, tiling = LatticeConfig((4, 3), (3, -4), ((0, 0), (2, 1))), t3_tiling(9)
     ok, fail = SignalParams(7, 3), SignalParams(2, 3)
     assert verify_periodic(skew, ok).ok and not verify_periodic(skew, fail).ok
