@@ -53,17 +53,16 @@ EXIT_INTERNAL = 4
 # broadcasting configuration is expected to sit beside at least 4 excess.
 WINDOW_THRESHOLD_R3 = 4
 
-# What a command handler returns: its exit code and the files it wrote.
-Outcome = tuple[int, list[str]]
 
+def _emit(text: str, out: str | None, outputs: list[str]) -> None:
+    """Write text to the file `out` when given, else to stdout.
 
-def _emit(text: str, out: str | None) -> list[str]:
-    """Write text to the file `out` when given, else to stdout. Returns paths.
-
-    Every file the CLI writes goes through here, so a path that cannot
-    be written is bad input (exit 2), not a crash. A reader that closes
-    stdout early, such as `head`, has taken all it wants: that is not a
-    failure either.
+    Every file the CLI writes goes through here. A written file is
+    appended to `outputs`, the list main records in the manifest, so
+    files written before a failing write are listed too. A path that
+    cannot be written is bad input (exit 2), not a crash. A reader that
+    closes stdout early, such as `head`, has taken all it wants: that is
+    not a failure either.
     """
     if out is not None:
         try:
@@ -73,7 +72,8 @@ def _emit(text: str, out: str | None) -> list[str]:
                     fh.write("\n")
         except OSError as exc:
             raise InputError(f"cannot write {out}: {exc}") from None
-        return [out]
+        outputs.append(out)
+        return
     try:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -85,7 +85,6 @@ def _emit(text: str, out: str | None) -> list[str]:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-    return []
 
 
 def _json_text(payload) -> str:
@@ -98,20 +97,19 @@ def _csv_text(rows) -> str:
     return buffer.getvalue()
 
 
-def _report(args, payload, text: str | None = None, code: int = EXIT_OK,
-            note: str | None = None, written: tuple[str, ...] = ()) -> Outcome:
-    """Write one command's result and return its outcome.
+def _report(args, outputs: list[str], payload, text: str | None = None,
+            code: int = EXIT_OK, note: str | None = None) -> int:
+    """Write one command's result and return its exit code.
 
     The payload goes out as JSON unless the command has a plain-text
     form and --json was not given. A note goes to stderr after it.
-    `written` lists the files the command already wrote itself.
     """
     if text is None or getattr(args, "json", False):
         text = _json_text(payload)
-    outputs = [*written, *_emit(text, args.out)]
+    _emit(text, args.out, outputs)
     if note is not None:
         print(note, file=sys.stderr)
-    return code, outputs
+    return code
 
 
 def _verdict(ok: bool) -> int:
@@ -129,7 +127,7 @@ def _write_manifest(args, argv: list[str], outputs: list[str], started: float) -
         "version": __version__,
         "timing_seconds": round(time.monotonic() - started, 6),
     }
-    _emit(_json_text(manifest), args.manifest)
+    _emit(_json_text(manifest), args.manifest, [])
 
 
 def _params(args) -> SignalParams:
@@ -156,22 +154,22 @@ def _family(name: str):
 # ------------------------------------------------------ formula, construct
 
 
-def cmd_formula(args) -> Outcome:
+def cmd_formula(args, outputs: list[str]) -> int:
     gamma = _family(args.family)[0](args.n, args.k, args.t, args.r)
     payload = {"family": args.family, "n": args.n, "k": args.k, "t": args.t,
                "r": args.r, "gamma": gamma}
-    return _report(args, payload, str(gamma))
+    return _report(args, outputs, payload, str(gamma))
 
 
-def cmd_construct(args) -> Outcome:
+def cmd_construct(args, outputs: list[str]) -> int:
     towers = _family(args.family)[1](args.n, args.k, args.t, args.r)
-    return _report(args, towers.to_json_dict())
+    return _report(args, outputs, towers.to_json_dict())
 
 
 # ---------------------------------------------------------- solve, verify
 
 
-def cmd_solve(args) -> Outcome:
+def cmd_solve(args, outputs: list[str]) -> int:
     spec = parse_graph_spec(args.spec)
     result = solve(spec, _params(args), node_budget=args.budget)
     payload = {
@@ -185,13 +183,13 @@ def cmd_solve(args) -> Outcome:
         "proof_of_optimality": result.proof_of_optimality,
     }
     if result.proof_of_optimality:
-        return _report(args, payload)
+        return _report(args, outputs, payload)
     note = (f"node budget {args.budget} exhausted after {result.nodes_explored} nodes; "
             f"{result.lower_bound} <= gamma <= {result.gamma}")
-    return _report(args, payload, code=EXIT_BUDGET, note=note)
+    return _report(args, outputs, payload, code=EXIT_BUDGET, note=note)
 
 
-def cmd_verify(args) -> Outcome:
+def cmd_verify(args, outputs: list[str]) -> int:
     towers = towers_from_json_dict(_load_json_file(args.file))
     check = is_broadcasting(towers, _params(args))
     payload = {"ok": check.ok, "deficient_vertex": check.deficient_vertex,
@@ -199,7 +197,7 @@ def cmd_verify(args) -> Outcome:
     text = "OK" if check.ok else (
         f"FAIL vertex={check.deficient_vertex} signal={check.signal} required={args.r}"
     )
-    return _report(args, payload, text, _verdict(check.ok))
+    return _report(args, outputs, payload, text, _verdict(check.ok))
 
 
 # ---------------------------------------------------------------- lattice
@@ -214,13 +212,14 @@ def _lattice_config(args) -> LatticeConfig:
     return config_from_json_dict(_load_json_file(args.config))
 
 
-def cmd_lattice_density(args) -> Outcome:
+def cmd_lattice_density(args, outputs: list[str]) -> int:
     config = _lattice_config(args)
     value = density(config)
-    return _report(args, {"density": str(value), "config": config.to_json_dict()}, str(value))
+    payload = {"density": str(value), "config": config.to_json_dict()}
+    return _report(args, outputs, payload, str(value))
 
 
-def cmd_lattice_verify(args) -> Outcome:
+def cmd_lattice_verify(args, outputs: list[str]) -> int:
     check = verify_periodic(_lattice_config(args), _params(args))
     payload = {"ok": check.ok,
                "witness": list(check.witness) if check.witness else None,
@@ -228,16 +227,17 @@ def cmd_lattice_verify(args) -> Outcome:
     text = "OK" if check.ok else (
         f"FAIL cell={check.witness} signal={check.signal} required={args.r}"
     )
-    return _report(args, payload, text, _verdict(check.ok))
+    return _report(args, outputs, payload, text, _verdict(check.ok))
 
 
-def cmd_lattice_excess(args) -> Outcome:
+def cmd_lattice_excess(args, outputs: list[str]) -> int:
     report = excess_report(_lattice_config(args), _params(args))
-    written = () if args.csv is None else _emit(_csv_text(report.csv_rows()), args.csv)
-    return _report(args, report.to_json_dict(), written=written)
+    if args.csv is not None:
+        _emit(_csv_text(report.csv_rows()), args.csv, outputs)
+    return _report(args, outputs, report.to_json_dict())
 
 
-def cmd_lattice_window(args) -> Outcome:
+def cmd_lattice_window(args, outputs: list[str]) -> int:
     config = _lattice_config(args)
     try:
         tx, ty = (int(c) for c in args.tower.split(","))
@@ -254,10 +254,10 @@ def cmd_lattice_window(args) -> Outcome:
         f"window excess {value} below {threshold} at tower ({tx},{ty}) "
         f"orientation {args.orientation}: falsification finding"
     )
-    return _report(args, payload, str(value), _verdict(ok), note)
+    return _report(args, outputs, payload, str(value), _verdict(ok), note)
 
 
-def cmd_lattice_promote(args) -> Outcome:
+def cmd_lattice_promote(args, outputs: list[str]) -> int:
     holds = promote_check(_lattice_config(args), args.base_t, args.base_r, args.k)
     promoted_t, promoted_r = args.base_t + args.k, args.base_r + 2 * args.k
     payload = {
@@ -270,16 +270,16 @@ def cmd_lattice_promote(args) -> Outcome:
         f"promotion failed: ({args.base_t},{args.base_r}) configuration is not "
         f"({promoted_t},{promoted_r})-broadcasting; falsification finding"
     )
-    return _report(args, payload, str(holds).lower(), _verdict(holds), note)
+    return _report(args, outputs, payload, str(holds).lower(), _verdict(holds), note)
 
 
-def cmd_lattice_profile(args) -> Outcome:
+def cmd_lattice_profile(args, outputs: list[str]) -> int:
     profile = promotion_excess_profile(args.t, args.k)
     note = None if profile.matches_claimed else (
         f"observed per-tower excess {profile.average_per_tower} differs from "
         f"the claimed total {profile.claimed_total} (documented finding)"
     )
-    return _report(args, profile.to_json_dict(), note=note)
+    return _report(args, outputs, profile.to_json_dict(), note=note)
 
 
 # ------------------------------------------------------------------ sweep
@@ -302,7 +302,7 @@ def _sweep_instance(job: tuple[str, int, int, int, int, int]) -> list:
     ]
 
 
-def cmd_sweep(args) -> Outcome:
+def cmd_sweep(args, outputs: list[str]) -> int:
     if args.threads < 1:
         raise InputError(f"--threads must be at least 1, got {args.threads}")
     threads = min(args.threads, os.cpu_count() or 1)
@@ -332,7 +332,7 @@ def cmd_sweep(args) -> Outcome:
     note = (f"sweep: {len(rows)} instances, {disagreements} disagreements, "
             f"{incomplete} budget-limited")
     code = EXIT_BUDGET if incomplete else EXIT_PROPERTY if disagreements else EXIT_OK
-    return _report(args, None, _csv_text([header, *rows]), code, note)
+    return _report(args, outputs, None, _csv_text([header, *rows]), code, note)
 
 
 # ----------------------------------------------------------------- parser
@@ -475,7 +475,7 @@ def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()
     outputs: list[str] = []
     try:
-        code, outputs = args.func(args)
+        code = args.func(args, outputs)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_INPUT

@@ -7,9 +7,9 @@ fractions. Verifying one full set of coset representatives certifies
 the entire grid by periodicity. A cell modulo the lattice has one
 name, its representative in fundamental_domain: reduce_point returns
 it, verify_periodic's witness and excess_report's per_vertex keys use it.
-Inside this module a cell is its position in that list: each call
-computes the Hermite normal form (_fold) once, maps every point with
-_cell, and compares cells by position.
+Inside this module a cell is its position in that list. A configuration
+computes its Hermite normal form (_fold) once, when it is built, and
+_cell, which reads it, is the one reduction of a point modulo the lattice.
 
 Geometry conventions: distance is the Manhattan (ell-1) metric, and a
 tower at u delivers max(0, t - |u - v|_1) to the cell v. One field of
@@ -63,12 +63,13 @@ class LatticeConfig:
             raise InputError("basis vectors must be linearly independent")
         if not self.offsets:
             raise InputError("need at least one tower offset")
-        fold = _fold(self)
+        # Not a field: repr, equality, hashing and asdict never see it.
+        object.__setattr__(self, "_hermite", _fold(self))
         seen = set()
         for o in self.offsets:
             if len(o) != 2 or not all(type(c) is int for c in o):
                 raise InputError("offsets must be integer pairs")
-            cell = _cell(fold, o)
+            cell = _cell(self, o)
             if cell in seen:
                 raise InputError(f"offset {o} duplicates another offset modulo the lattice")
             seen.add(cell)
@@ -105,9 +106,8 @@ def config_from_json_dict(data: dict) -> LatticeConfig:
 
 def reduce_point(config: LatticeConfig, v: Vec) -> Vec:
     """The cell of fundamental_domain congruent to v (see _cell)."""
-    fold = _fold(config)
-    i = _cell(fold, v)
-    return (i % fold[0], i // fold[0])
+    y, x = divmod(_cell(config, v), config._hermite[0])
+    return (x, y)
 
 
 def density(config: LatticeConfig) -> Fraction:
@@ -123,7 +123,7 @@ def axis_periods(config: LatticeConfig) -> tuple[int, int]:
     the y-axis when p1 divides n*j, so the least such n is
     p1 / gcd(p1, j) and the y-axis period is |det| / gcd(p1, j).
     """
-    p1, _, j = _fold(config)
+    p1, _, j = config._hermite
     return (p1, config.index // math.gcd(p1, j))
 
 
@@ -133,7 +133,7 @@ def fundamental_domain(config: LatticeConfig) -> list[Vec]:
     Uses the triangular transversal {(x, y) : 0 <= x < p1, 0 <= y < s}
     of the Hermite normal form (see _fold).
     """
-    p1, s, _ = _fold(config)
+    p1, s, _ = config._hermite
     return [(x, y) for y in range(s) for x in range(p1)]
 
 
@@ -159,13 +159,14 @@ def _fold(config: LatticeConfig) -> tuple[int, int, int]:
     return p1, g, (u * ax + v * bx) % p1
 
 
-def _cell(fold: tuple[int, int, int], point: Vec) -> int:
+def _cell(config: LatticeConfig, point: Vec) -> int:
     """Position of point's cell in fundamental_domain order.
 
-    fold is _fold's (p1, s, j), computed once by the caller. Subtracting
+    The one reduction modulo the lattice, by the Hermite form (p1, s, j)
+    that config computed when it was built (see _fold). Subtracting
     q*(j, s) brings y into [0, s), and x then reduces modulo p1.
     """
-    p1, s, j = fold
+    p1, s, j = config._hermite
     q, y = divmod(point[1], s)
     return y * p1 + (point[0] - q * j) % p1
 
@@ -173,20 +174,21 @@ def _cell(fold: tuple[int, int, int], point: Vec) -> int:
 def _signal_field(config: LatticeConfig, params: SignalParams) -> list[int]:
     """Capped signal of every cell, in fundamental_domain order.
 
-    The transversal is s rows of p1 cells (see _fold), and one row of
-    a tower's radius t - 1 diamond, at height dy with h = t - |dy|,
-    lands on one cyclic transversal row. So each of the 2t - 1 rows of
-    each offset folds its left end once and adds its capped tent
-    min(r, h - |dx|) as at most ceil((2h - 1)/p1) + 1 slices; a row
-    wider than p1 wraps and adds onto the same cell once per translate
-    it covers. The field decides broadcasting as well as excess: a
-    value below r is the cell's raw sum, and a value of at least r
-    means the raw sum is too. The cost is 2t - 1 row slices per offset
-    on a flat list of |det| cells, whatever the caller reads
-    afterwards: there is no early exit. The slices add offsets x
-    (2t^2 - 2t + 1) stamps in all, however small the domain. A domain
-    of more than errors.MAX_ENTRIES cells, or a field of more stamps
-    than that, is refused before anything is allocated, cells checked first.
+    The transversal is s rows of p1 cells, by the Hermite form the
+    configuration computed once (see _fold). One row of a tower's
+    radius t - 1 diamond, at height dy with h = t - |dy|, lands on one
+    cyclic transversal row: each of the 2t - 1 rows of each offset
+    reduces its left end with _cell, the one reduction modulo the
+    lattice, and adds its capped tent min(r, h - |dx|) as at most
+    ceil((2h - 1)/p1) + 1 slices. A row wider than p1 wraps and adds
+    onto the same cell once per translate it covers. The field decides
+    broadcasting as well as excess: a value below r is the cell's raw
+    sum, and a value of at least r means the raw sum is too. The
+    slices add offsets x (2t^2 - 2t + 1) stamps to a flat list of
+    |det| cells, whatever the caller reads afterwards and however small
+    the domain: there is no early exit. A domain of more than
+    errors.MAX_ENTRIES cells, or a field of more stamps than that, is
+    refused before anything is allocated, cells checked first.
     """
     cells = config.index
     check_entries(cells, lambda: f"fundamental domain has |det| = {cells} cells")
@@ -194,7 +196,7 @@ def _signal_field(config: LatticeConfig, params: SignalParams) -> list[int]:
     stamps = len(config.offsets) * (2 * t * t - 2 * t + 1)
     check_entries(stamps, lambda: f"signal field at t = {t} needs {stamps} stamps, "
                   "offsets x (2t^2 - 2t + 1)")
-    p1, s, j = _fold(config)
+    p1 = config._hermite[0]
     up = [min(r, i) for i in range(1, t + 1)]
     down = up[::-1]
     field = [0] * cells
@@ -202,16 +204,14 @@ def _signal_field(config: LatticeConfig, params: SignalParams) -> list[int]:
         for dy in range(1 - t, t):
             h = t - abs(dy)
             tent = up[:h] + down[t - h + 1:]
-            q, y = divmod(oy + dy, s)
-            row = y * p1
-            x = (ox - h + 1 - q * j) % p1
+            a = _cell(config, (ox - h + 1, oy + dy))
+            row = a - a % p1
             k = 0
             while k < len(tent):
-                c = min(len(tent) - k, p1 - x)
-                a = row + x
+                c = min(len(tent) - k, row + p1 - a)
                 field[a:a + c] = map(operator.add, field[a:a + c], tent[k:k + c])
                 k += c
-                x = 0
+                a = row
     return field
 
 
@@ -221,7 +221,7 @@ def excess_at(config: LatticeConfig, params: SignalParams, point: Vec) -> int:
     Builds the whole field, 2t - 1 row slices per offset on a flat list
     of |det| cells, to read one position of it.
     """
-    return _signal_field(config, params)[_cell(_fold(config), point)] - params.r
+    return _signal_field(config, params)[_cell(config, point)] - params.r
 
 
 @dataclass(frozen=True)
@@ -252,7 +252,7 @@ def verify_periodic(config: LatticeConfig, params: SignalParams) -> PeriodicChec
     r = params.r
     for i, signal in enumerate(field):
         if signal < r:
-            p1 = _fold(config)[0]
+            p1 = config._hermite[0]
             return PeriodicCheck(False, (i % p1, i // p1), signal)
     return PeriodicCheck(True)
 
@@ -341,15 +341,14 @@ def window_excess(
         raise InputError(
             f"orientation must be one of {tuple(_WINDOW_FRAMES)}, got {orientation!r}"
         )
-    fold = _fold(config)
-    offset_cells = {_cell(fold, o) for o in config.offsets}
-    if _cell(fold, tower) not in offset_cells:
+    offset_cells = {_cell(config, o) for o in config.offsets}
+    if _cell(config, tower) not in offset_cells:
         raise InputError(f"{tower} is not a tower of this configuration")
     ux, uy = _WINDOW_FRAMES[orientation]
     field = _signal_field(config, params)
     tx, ty = tower
     return sum(
-        field[_cell(fold, (tx + dx * ux - dy * uy, ty + dx * uy + dy * ux))] - params.r
+        field[_cell(config, (tx + dx * ux - dy * uy, ty + dx * uy + dy * ux))] - params.r
         for dx in range(t - 4, t + 3)
         for dy in range(-4, 5)
     )
@@ -469,8 +468,7 @@ def promotion_excess_profile(t: int, k: int) -> PromotionProfile:
     report = excess_report(config, params)
 
     square = tuple((x, y) for y in range(-(k - 1), k + 1) for x in range(-k, k))
-    fold = _fold(config)
-    cells = {pt: _cell(fold, pt) for pt in square}
+    cells = {pt: _cell(config, pt) for pt in square}
     excess = [e for _, e in report.per_vertex.values()]
     diagonals: dict[int, list[int]] = {}
     for (x, y), i in cells.items():

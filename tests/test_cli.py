@@ -566,6 +566,19 @@ def test_manifest_written_only_when_asked(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["gamma.txt"]
 
 
+def test_manifest_lists_files_written_before_a_failing_write(tmp_path):
+    # --csv is written before --out fails: the run exits 2, and the
+    # manifest still names the CSV it left on disk.
+    manifest, csv_file = tmp_path / "m.json", tmp_path / "ok.csv"
+    code, out, err = run(["lattice", "excess", "--t3", "5", "-t", "5", "-r", "3",
+                          "--csv", str(csv_file), "--out", str(tmp_path / "missing" / "x.json"),
+                          "--manifest", str(manifest)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write ")
+    assert csv_file.read_text().startswith("x,y,capped_signal,excess\n")
+    assert json.loads(manifest.read_text())["outputs"] == [str(csv_file)]
+
+
 # ------------------------------------------------------- unwritable paths
 
 # A command line ending in an output flag, one per flag the CLI writes.

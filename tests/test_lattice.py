@@ -1,5 +1,6 @@
 """Periodic configurations: reduction, density, verification, excess."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -219,63 +220,63 @@ def test_fold_is_the_hermite_normal_form(ab, x, y):
     assert cramer_reduce(config, (p1, 0)) == origin
     assert cramer_reduce(config, (j, s)) == origin
     domain = fundamental_domain(config)
-    fold = (p1, s, j)
-    assert [_cell(fold, pt) for pt in domain] == list(range(config.index))
+    assert [_cell(config, pt) for pt in domain] == list(range(config.index))
     a, b = config.a, config.b
-    cell = _cell(fold, (x, y))
-    assert _cell(fold, (x + a[0], y + a[1])) == cell
-    assert _cell(fold, (x + b[0], y + b[1])) == cell
+    cell = _cell(config, (x, y))
+    assert _cell(config, (x + a[0], y + a[1])) == cell
+    assert _cell(config, (x + b[0], y + b[1])) == cell
     assert cramer_reduce(config, domain[cell]) == cramer_reduce(config, (x, y))
     assert reduce_point(config, (x, y)) == domain[cell]
 
 
-def _fold_counter(monkeypatch):
-    # Returns folds(call): how many times call() folds a basis.
-    calls = []
+def test_a_config_folds_once_and_no_audit_folds(monkeypatch):
+    # Building a configuration folds its basis once and keeps the
+    # Hermite form. No audit folds again, OK or FAIL, however many cells
+    # it stamps or points it maps: the profile maps 2k x 2k cells and
+    # window_excess its 63 window cells.
+    folds = []
 
     def counting(cfg):
-        calls.append(cfg)
+        folds.append(cfg)
         return _fold(cfg)
 
-    def folds(call):
-        calls.clear()
-        call()
-        return len(calls)
-
     monkeypatch.setattr(lattice, "_fold", counting)
-    return folds
-
-
-def test_lattice_calls_fold_a_fixed_number_of_times(monkeypatch):
-    # Each call folds its basis a fixed number of times and hands the
-    # fold to _cell, however many points it maps: the profile maps
-    # 2k x 2k cells and window_excess its 63 window cells.
-    folds = _fold_counter(monkeypatch)
-    config, params = t3_tiling(40), SignalParams(40, 3)
-    assert folds(lambda: promotion_excess_profile(60, 3)) == 5
-    assert folds(lambda: promotion_excess_profile(60, 10)) == 5
-    for orientation in ("E", "N", "W", "S"):
-        assert folds(lambda: window_excess(config, params, (0, 0), orientation)) == 2
-    assert folds(lambda: excess_at(config, params, (5, -3))) == 2
     offsets = tuple((x, y) for x in range(3) for y in range(3))
-    assert folds(lambda: LatticeConfig((3, 0), (0, 3), offsets)) == 1
-
-
-def test_lattice_audits_fold_no_point_per_stamp(monkeypatch):
-    # Every audit stamps offsets x (2t^2 - 2t + 1) cells, OK or FAIL,
-    # yet folds its basis a fixed number of times: a per-stamp fold
-    # would scale with the stamps.
-    folds = _fold_counter(monkeypatch)
-    skew, tiling = LatticeConfig((4, 3), (3, -4), ((0, 0), (2, 1))), t3_tiling(9)
-    ok, fail = SignalParams(7, 3), SignalParams(2, 3)
+    configs = [LatticeConfig((3, 0), (0, 3), offsets),
+               LatticeConfig((4, 3), (3, -4), ((0, 0), (2, 1))), t3_tiling(9), t3_tiling(40),
+               centered_t1_frame(60)]
+    assert folds == configs
+    folds.clear()
+    _, skew, tiling, large, frame = configs
+    ok, fail, params = SignalParams(7, 3), SignalParams(2, 3), SignalParams(40, 3)
     assert verify_periodic(skew, ok).ok and not verify_periodic(skew, fail).ok
-    assert folds(lambda: verify_periodic(skew, ok)) == 1
-    assert folds(lambda: verify_periodic(skew, fail)) == 2
-    assert folds(lambda: promote_check(tiling, 9, 2, 2)) == 2
-    assert folds(lambda: window_excess(skew, ok, (2, 1), "N")) == 2
-    assert folds(lambda: excess_at(skew, ok, (5, -3))) == 2
-    assert folds(lambda: excess_report(skew, ok)) == 3
-    assert folds(lambda: excess_report(skew, fail)) == 3
+    promote_check(tiling, 9, 2, 2)
+    for orientation in ("E", "N", "W", "S"):
+        window_excess(large, params, (0, 0), orientation)
+    window_excess(skew, ok, (2, 1), "N")
+    excess_at(large, params, (5, -3))
+    excess_at(skew, ok, (5, -3))
+    assert excess_report(skew, ok).broadcasting and not excess_report(skew, fail).broadcasting
+    assert folds == []
+    promotion_excess_profile(60, 3)
+    promotion_excess_profile(60, 10)
+    assert folds == [frame, frame]  # each profile builds its frame
+
+
+def test_the_stored_hermite_form_is_invisible():
+    config = LatticeConfig((4, 3), (3, -4), ((0, 0), (2, 1)))
+    assert repr(config) == "LatticeConfig(a=(4, 3), b=(3, -4), offsets=((0, 0), (2, 1)))"
+    twin = LatticeConfig((4, 3), (3, -4), ((0, 0), (2, 1)))
+    assert twin == config and hash(twin) == hash(config)
+    assert dataclasses.asdict(config) == {"a": (4, 3), "b": (3, -4), "offsets": ((0, 0), (2, 1))}
+    # replace() builds anew, so the new basis gets its own form.
+    moved = dataclasses.replace(config, a=(5, 3))
+    assert axis_periods(moved) == (29, 29)
+    domain = fundamental_domain(moved)
+    for pt in [(x, y) for x in range(-8, 9) for y in range(-8, 9)]:
+        cell = domain[_cell(moved, pt)]
+        assert cell == reduce_point(moved, pt)
+        assert cramer_reduce(moved, cell) == cramer_reduce(moved, pt)
 
 
 def test_signal_field_refuses_an_oversized_domain(monkeypatch):

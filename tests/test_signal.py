@@ -116,15 +116,15 @@ def max_capped_supply(spec, t_max):
     return supplies
 
 
-def test_usable_cap_1d_examples():
-    # the usable cap of one tower on a path or cycle power is r times the
-    # closed forms' period (2t - r - 1)k + 1
+def test_tower_supply_is_r_times_the_period_examples():
+    # the capped supply of one central tower on a long path power is r
+    # times the closed forms' period (2t - r - 1)k + 1
     assert _period(1, 3, 2) * 2 == 8
     assert _period(1, 1, 1) * 1 == 1
     assert _period(2, 3, 2) * 2 == 14
 
 
-def test_usable_cap_1d_matches_brute_force_center_tower():
+def test_tower_supply_on_paths_and_cycles_peaks_at_r_times_the_period():
     """A central tower on a long path realizes r times the period exactly,
     and no tower on a finite path or cycle power supplies more."""
     for k in range(1, 4):
@@ -153,7 +153,7 @@ def diamond_cap(t, r):
     )
 
 
-def test_usable_cap_2d_examples_and_identity():
+def test_diamond_supply_examples_and_demand_3_identity():
     assert diamond_cap(5, 3) == 79
     assert diamond_cap(2, 1) == 5
     # demand-3 identity used by the density accounting; c08 reads it off
@@ -162,7 +162,7 @@ def test_usable_cap_2d_examples_and_identity():
         assert diamond_cap(t, 3) == 3 * (2 * t * t - 6 * t + 5) + 4
 
 
-def test_usable_cap_2d_matches_double_sum():
+def test_tower_supply_on_grids_and_tori_is_at_most_the_diamond_sum():
     """No tower on a finite grid or torus supplies more than the diamond
     sum of the infinite grid."""
     cap = {(t, r): diamond_cap(t, r) for t in range(1, 7) for r in range(1, t + 1)}
