@@ -229,38 +229,55 @@ def test_fold_is_the_hermite_normal_form(ab, x, y):
     assert reduce_point(config, (x, y)) == domain[cell]
 
 
-def test_a_config_folds_once_and_no_audit_folds(monkeypatch):
-    # Building a configuration folds its basis once and keeps the
-    # Hermite form. No audit folds again, OK or FAIL, however many cells
-    # it stamps or points it maps: the profile maps 2k x 2k cells and
-    # window_excess its 63 window cells.
-    folds = []
+def _fold_counter(monkeypatch):
+    calls = []
 
     def counting(cfg):
-        folds.append(cfg)
+        calls.append(cfg)
         return _fold(cfg)
 
+    def folds(call):
+        calls.clear()
+        call()
+        return list(calls)
+
     monkeypatch.setattr(lattice, "_fold", counting)
+    return folds
+
+
+def test_lattice_calls_fold_a_fixed_number_of_times(monkeypatch):
+    # Building a configuration folds its basis once and keeps the
+    # Hermite form; no call folds again, however many points it maps:
+    # the profile maps 2k x 2k cells and window_excess its 63 window
+    # cells. Each profile folds only the frame it builds.
+    folds = _fold_counter(monkeypatch)
     offsets = tuple((x, y) for x in range(3) for y in range(3))
-    configs = [LatticeConfig((3, 0), (0, 3), offsets),
-               LatticeConfig((4, 3), (3, -4), ((0, 0), (2, 1))), t3_tiling(9), t3_tiling(40),
-               centered_t1_frame(60)]
-    assert folds == configs
-    folds.clear()
-    _, skew, tiling, large, frame = configs
-    ok, fail, params = SignalParams(7, 3), SignalParams(2, 3), SignalParams(40, 3)
-    assert verify_periodic(skew, ok).ok and not verify_periodic(skew, fail).ok
-    promote_check(tiling, 9, 2, 2)
+    assert folds(lambda: LatticeConfig((3, 0), (0, 3), offsets)) == [
+        LatticeConfig((3, 0), (0, 3), offsets)]
+    config, params, frame = t3_tiling(40), SignalParams(40, 3), centered_t1_frame(60)
+    assert folds(lambda: promotion_excess_profile(60, 3)) == [frame]
+    assert folds(lambda: promotion_excess_profile(60, 10)) == [frame]
     for orientation in ("E", "N", "W", "S"):
-        window_excess(large, params, (0, 0), orientation)
-    window_excess(skew, ok, (2, 1), "N")
-    excess_at(large, params, (5, -3))
-    excess_at(skew, ok, (5, -3))
+        assert folds(lambda: window_excess(config, params, (0, 0), orientation)) == []
+    assert folds(lambda: excess_at(config, params, (5, -3))) == []
+
+
+def test_lattice_audits_fold_no_point_per_stamp(monkeypatch):
+    # Every audit stamps offsets x (2t^2 - 2t + 1) cells, OK or FAIL,
+    # yet folds no basis at all: the configuration folded once when it
+    # was built, and a per-stamp fold would scale with the stamps.
+    folds = _fold_counter(monkeypatch)
+    skew, tiling = LatticeConfig((4, 3), (3, -4), ((0, 0), (2, 1))), t3_tiling(9)
+    ok, fail = SignalParams(7, 3), SignalParams(2, 3)
+    assert verify_periodic(skew, ok).ok and not verify_periodic(skew, fail).ok
+    assert folds(lambda: verify_periodic(skew, ok)) == []
+    assert folds(lambda: verify_periodic(skew, fail)) == []
+    assert folds(lambda: promote_check(tiling, 9, 2, 2)) == []
+    assert folds(lambda: window_excess(skew, ok, (2, 1), "N")) == []
+    assert folds(lambda: excess_at(skew, ok, (5, -3))) == []
     assert excess_report(skew, ok).broadcasting and not excess_report(skew, fail).broadcasting
-    assert folds == []
-    promotion_excess_profile(60, 3)
-    promotion_excess_profile(60, 10)
-    assert folds == [frame, frame]  # each profile builds its frame
+    assert folds(lambda: excess_report(skew, ok)) == []
+    assert folds(lambda: excess_report(skew, fail)) == []
 
 
 def test_the_stored_hermite_form_is_invisible():
