@@ -2,9 +2,12 @@
 
 Four families are supported: powers of paths, powers of cycles,
 rectangular grids, and rectangular tori (the finite surrogate for the
-infinite grid). Distances come from closed forms in O(1); an explicit
-breadth-first search over the materialized edge set is provided as an
-independent oracle for cross-checking.
+infinite grid). A spec computes its box (rows, cols, k, wrap) once: one
+row of n with power k for a path or cycle power, rows x cols with k = 1
+for a grid or torus, wrapped on cycles and tori. Distances (in O(1)),
+balls and reflection orbits read the box, not the family. `neighbors`
+stays per family: BFS over its explicit edges is the independent
+oracle that cross-checks them.
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ class GraphSpec:
     cols: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.family, Family):
+            raise InputError(f"graph family must be a Family, got {self.family!r}")
         if self.family in (Family.PATH, Family.CYCLE):
             if self.n < 1:
                 raise InputError(f"{self.family.value}: need n >= 1, got {self.n}")
@@ -50,6 +55,7 @@ class GraphSpec:
                 raise InputError(f"{self.family.value}: need k >= 1, got {self.k}")
             if self.rows or self.cols:
                 raise InputError(f"{self.family.value}: rows/cols not applicable")
+            box = (1, self.n, self.k, self.family is Family.CYCLE)
         else:
             if self.rows < 1 or self.cols < 1:
                 raise InputError(f"{self.family.value}: need rows >= 1 and cols >= 1")
@@ -57,6 +63,9 @@ class GraphSpec:
                 raise InputError(f"{self.family.value}: n not applicable, use rows x cols")
             if self.k != 1:
                 raise InputError(f"{self.family.value}: does not take a power parameter")
+            box = (self.rows, self.cols, 1, self.family is Family.TORUS)
+        # Not a field: repr, equality, hashing and asdict never see it.
+        object.__setattr__(self, "_box", box)
 
     @classmethod
     def path_power(cls, n: int, k: int = 1) -> "GraphSpec":
@@ -76,9 +85,7 @@ class GraphSpec:
 
     @property
     def num_vertices(self) -> int:
-        if self.family in (Family.PATH, Family.CYCLE):
-            return self.n
-        return self.rows * self.cols
+        return self._box[0] * self._box[1]
 
 
 def _check_vertex(spec: GraphSpec, v: int) -> None:
@@ -89,26 +96,21 @@ def _check_vertex(spec: GraphSpec, v: int) -> None:
 def distance(spec: GraphSpec, u: int, v: int) -> int:
     """Shortest-path distance between two vertices, in O(1).
 
-    Path power: ceil(|i - j| / k). Cycle power: the same on the shorter
-    arc. Grid: Manhattan distance. Torus: Manhattan distance with both
-    coordinates wrapped.
+    From the box: the row offset plus ceil(column offset / k), each the
+    shorter way round when the box wraps. So ceil(|i - j| / k) on a path
+    power, on the shorter arc on a cycle, and Manhattan on grids and tori.
     """
     _check_vertex(spec, u)
     _check_vertex(spec, v)
-    if spec.family is Family.PATH:
-        return -(-abs(u - v) // spec.k)
-    if spec.family is Family.CYCLE:
-        step = abs(u - v)
-        step = min(step, spec.n - step)
-        return -(-step // spec.k)
-    r1, c1 = divmod(u, spec.cols)
-    r2, c2 = divmod(v, spec.cols)
+    rows, cols, k, wrap = spec._box
+    r1, c1 = divmod(u, cols)
+    r2, c2 = divmod(v, cols)
     dr = abs(r1 - r2)
     dc = abs(c1 - c2)
-    if spec.family is Family.TORUS:
-        dr = min(dr, spec.rows - dr)
-        dc = min(dc, spec.cols - dc)
-    return dr + dc
+    if wrap:
+        dr = min(dr, rows - dr)
+        dc = min(dc, cols - dc)
+    return dr + -(-dc // k)
 
 
 def _axis(c: int, length: int, span: int, wrap: bool) -> list[tuple[int, int]]:
@@ -132,25 +134,23 @@ def near(spec: GraphSpec, v: int, radius: int) -> list[tuple[int, int]]:
     """(u, distance(spec, v, u)) for every vertex u within radius of v, in
     index order.
 
-    Built from the family's geometry in O(|ball|), without a pass over
-    the other vertices: path and cycle powers walk one axis of span
-    radius * k and take ceil(offset / k); grids and tori walk the rows
-    within radius and, in each, the columns within radius - dy. Paths
-    and grids clip at the ends, cycles and tori wrap.
+    Built from the spec's box in O(|ball|), without a pass over the
+    other vertices: one row (a path or cycle power) walks one axis of
+    span radius * k and takes ceil(offset / k); more rows (k = 1) walk
+    the rows within radius and, in each, the columns within radius - dy.
+    Unwrapped boxes clip at the ends, wrapped ones wrap.
     """
     _check_vertex(spec, v)
     if radius < 0:
         raise InputError(f"radius must be nonnegative, got {radius}")
-    if spec.family in (Family.PATH, Family.CYCLE):
-        k = spec.k
-        line = _axis(v, spec.n, radius * k, spec.family is Family.CYCLE)
-        return [(u, -(-s // k)) for u, s in line]
-    wrap = spec.family is Family.TORUS
-    row, col = divmod(v, spec.cols)
+    rows, cols, k, wrap = spec._box
+    if rows == 1:
+        return [(u, -(-s // k)) for u, s in _axis(v, cols, radius * k, wrap)]
+    row, col = divmod(v, cols)
     out = []
-    for y, dy in _axis(row, spec.rows, radius, wrap):
-        base = y * spec.cols
-        out.extend((base + x, dy + dx) for x, dx in _axis(col, spec.cols, radius - dy, wrap))
+    for y, dy in _axis(row, rows, radius, wrap):
+        base = y * cols
+        out.extend((base + x, dy + dx) for x, dx in _axis(col, cols, radius - dy, wrap))
     return out
 
 
@@ -160,7 +160,8 @@ def ball(spec: GraphSpec, v: int, radius: int) -> list[int]:
 
 
 def neighbors(spec: GraphSpec, v: int) -> list[int]:
-    """Adjacency list entry of v, materialized from the family definition."""
+    """Adjacency list entry of v, from the family definition: the BFS
+    referee's oracle, so it does not read the box that it checks."""
     _check_vertex(spec, v)
     nv = spec.num_vertices
     if spec.family is Family.PATH:
@@ -212,21 +213,18 @@ def reflection_orbits(spec: GraphSpec) -> list[int]:
     """Orbit id of every vertex under the graph's reflections, with ids
     numbered in the order of each orbit's least vertex.
 
-    The reflections are the reversal of a path or cycle power, and the
-    row flip and the column flip of a grid or torus, plus the transpose
-    when it is square. They preserve distance and generate a group of
-    order 2, 4 or 8, whose orbits are read off in closed form: two
-    vertices share one exactly when their coordinates folded onto the
-    first half of each axis agree, as an unordered pair on a square.
+    The reflections are the row flip and the column flip of the spec's
+    box (on one row, the reversal of a path or cycle power), plus the
+    transpose when it is square. They preserve distance and generate a
+    group of order 2, 4 or 8, whose orbits are read off in closed form:
+    two vertices share one exactly when their coordinates folded onto
+    the first half of each axis agree, as an unordered pair on a square.
     """
-    if spec.family in (Family.PATH, Family.CYCLE):
-        keys = [min(v, spec.n - 1 - v) for v in range(spec.n)]
-    else:
-        rows, cols = spec.rows, spec.cols
-        keys = [(min(y, rows - 1 - y), min(x, cols - 1 - x))
-                for y in range(rows) for x in range(cols)]
-        if rows == cols:
-            keys = [tuple(sorted(key)) for key in keys]
+    rows, cols = spec._box[:2]
+    keys = [(min(y, rows - 1 - y), min(x, cols - 1 - x))
+            for y in range(rows) for x in range(cols)]
+    if rows == cols:
+        keys = [tuple(sorted(key)) for key in keys]
     ids: dict = {}
     return [ids.setdefault(key, len(ids)) for key in keys]
 

@@ -26,11 +26,11 @@ it only if the fresh gain still leads. And once a frame has searched
 one candidate's subtree, that candidate stays banned until the frame
 pops, since every set holding it has been searched.
 
-`solve` picks its bound from the spec alone. Each bound gives the
-weights (W, D), a first lower bound lb and a first limit:
-  - On a grid at least three wide each way whose reflection group has
-    at most ORBIT_CAP orbits, the certified LP-dual bound, with limit
-    lb + 1: a ladder that climbs from the bound.
+`solve` picks its bound from the spec's box (see `graphs`) alone. Each
+bound gives the weights (W, D), a first lower bound lb and a first limit:
+  - On an unwrapped box at least three wide each way (a grid) whose
+    reflection group has at most ORBIT_CAP orbits, the certified LP-dual
+    bound, with limit lb + 1: a ladder that climbs from the bound.
     - The LP has one variable per orbit of the graph's reflections, read
       from the closed-form orbit map `graphs.reflection_orbits`, since
       averaging an optimum over them keeps it optimal: maximise
@@ -46,11 +46,11 @@ weights (W, D), a first lower bound lb and a first limit:
   - Every other spec: the capacity bound, W = 1 and D the largest
     capped supply, with limit the greedy cover's size: one rung below
     it. Cycles and tori are vertex-transitive, so the uniform weights
-    are already an optimal dual. On paths, grids one or two rows wide
-    and grids above ORBIT_CAP the LP or the ladder was measured to cost
-    more than the search it would save (see ORBIT_CAP). Only grids at
-    least three wide build the orbit map, in O(V), so every other spec
-    pays nothing.
+    are already an optimal dual. On boxes one or two wide (paths and
+    thin grids) and grids above ORBIT_CAP the LP or the ladder was
+    measured to cost more than the search it would save (see
+    ORBIT_CAP). Only unwrapped boxes at least three wide build the orbit
+    map, in O(V), so every other spec pays nothing.
 One loop runs the rungs while lb is below the best set, at first the
 greedy cover, so a bound that meets the greedy cover proves it with no
 search. Each rung searches below its limit with the rest of the
@@ -94,7 +94,7 @@ from heapq import heapify, heappop, heappush
 from math import ceil, lcm
 
 from .errors import InputError, check_entries
-from .graphs import Family, GraphSpec, format_graph_spec, near, reflection_orbits
+from .graphs import GraphSpec, format_graph_spec, near, reflection_orbits
 from .signal import SignalParams, TowerSet, is_broadcasting, weighted_bound
 
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -320,10 +320,8 @@ def solve(spec: GraphSpec, params: SignalParams, node_budget: int = DEFAULT_NODE
         raise InputError(f"node budget must be positive, got {node_budget}")
     t, r = params.t, params.r
     nv = spec.num_vertices
-    if spec.family in (Family.PATH, Family.CYCLE):
-        ball = 2 * (t - 1) * spec.k + 1
-    else:
-        ball = 2 * t * t - 2 * t + 1
+    rows, cols, k, wrap = spec._box
+    ball = 2 * (t - 1) * k + 1 if rows == 1 else 2 * t * t - 2 * t + 1
     entries = nv * min(nv, ball)
     check_entries(entries, lambda: f"{format_graph_spec(spec)} at t={t} needs a cover "
                   f"table of up to {entries} entries")
@@ -339,7 +337,7 @@ def solve(spec: GraphSpec, params: SignalParams, node_budget: int = DEFAULT_NODE
 
     best = _greedy_cover(cover, supply, r)
     orbit = None
-    if spec.family is Family.GRID and min(spec.rows, spec.cols) >= 3:
+    if not wrap and min(rows, cols) >= 3:
         orbit = reflection_orbits(spec)
     if orbit is None or max(orbit) + 1 > ORBIT_CAP:
         # The capacity bound, weight 1 on every vertex: one rung below

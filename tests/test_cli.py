@@ -128,11 +128,13 @@ def test_solve_over_the_table_limit_exits_2():
 
 
 @pytest.mark.parametrize("spec, t, entries", [
-    # V x the closed-form ball: 2t^2 - 2t + 1 on grids and tori,
-    # 2(t - 1)k + 1 on path and cycle powers, each capped at V
+    # V x the closed-form ball: 2(t - 1)k + 1 on one row (path and
+    # cycle powers, and grids and tori one row high, where k = 1),
+    # 2t^2 - 2t + 1 on other grids and tori, each capped at V
     ("grid:5x5", 2, 25 * 5),
     ("cycle:n=10,k=2", 3, 10 * 9),
     ("torus:2x2", 5, 4 * 4),
+    ("grid:1x50", 5, 50 * 9),
 ])
 def test_solve_table_limit_counts_v_times_the_ball(monkeypatch, spec, t, entries):
     import trbroadcast.errors as errors

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from trbroadcast import (
+    BroadcastCheck,
     GraphSpec,
     InputError,
     SignalParams,
@@ -15,7 +16,7 @@ from trbroadcast import (
     gamma_path_power,
     is_broadcasting,
 )
-from trbroadcast import errors
+from trbroadcast import errors, formulas
 from trbroadcast.formulas import _period
 
 
@@ -154,6 +155,17 @@ def test_audit_and_builders_refuse_one_vertex_over_the_limit(monkeypatch):
     assert not is_broadcasting(TowerSet(GraphSpec.path_power(12, 1), (0,)), params).ok
     with pytest.raises(InputError, match=r"^path:n=13,k=1 has 13 vertices, over the limit of 12$"):
         is_broadcasting(TowerSet(GraphSpec.path_power(13, 1), (0,)), params)
+
+
+def test_constructions_raise_when_they_fail_the_audit(monkeypatch):
+    monkeypatch.setattr(formulas, "is_broadcasting",
+                        lambda towers, params: BroadcastCheck(False, 0, 0))
+    with pytest.raises(RuntimeError, match="^path construction failed its audit "
+                                           "for n=10 k=1 t=3 r=2$"):
+        construct_path_towers(10, 1, 3, 2)
+    with pytest.raises(RuntimeError, match="^cycle construction failed its audit "
+                                           "for n=12 k=2 t=3 r=1$"):
+        construct_cycle_towers(12, 2, 3, 1)
 
 
 def test_path_formula_overcounts_when_strength_equals_demand():

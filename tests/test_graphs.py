@@ -1,5 +1,7 @@
 """Distance oracles, balls, and the textual graph encoding."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from trbroadcast import (
     Family,
     GraphSpec,
     InputError,
+    SignalParams,
     ball,
     bfs_distances_from,
     distance,
@@ -15,6 +18,7 @@ from trbroadcast import (
     near,
     neighbors,
     parse_graph_spec,
+    solve,
 )
 from trbroadcast.graphs import reflection_orbits
 
@@ -239,6 +243,45 @@ def test_spec_validation():
         GraphSpec(Family.TORUS, k=2, rows=2, cols=2)
     with pytest.raises(InputError):
         GraphSpec(Family.PATH, n=4, rows=1)
+    # A family's text value is not a family: no string is coerced.
+    with pytest.raises(InputError, match=r"^graph family must be a Family, got 'cycle'$"):
+        GraphSpec("cycle", n=10)
+    with pytest.raises(InputError, match=r"^graph family must be a Family, got 'hex'$"):
+        GraphSpec("hex", rows=2, cols=2)
+
+
+def test_the_stored_box_is_invisible():
+    grid, path = GraphSpec.grid(3, 4), GraphSpec.path_power(7, 2)
+    assert repr(grid) == "GraphSpec(family=<Family.GRID: 'grid'>, n=0, k=1, rows=3, cols=4)"
+    assert repr(path) == "GraphSpec(family=<Family.PATH: 'path'>, n=7, k=2, rows=0, cols=0)"
+    twin = parse_graph_spec("path:n=7,k=2")
+    assert twin == path and hash(twin) == hash(path)
+    assert dataclasses.asdict(grid) == {"family": Family.GRID, "n": 0, "k": 1, "rows": 3, "cols": 4}
+    # replace() builds anew, so the new size gets its own box.
+    longer = dataclasses.replace(path, n=9)
+    fresh = GraphSpec.path_power(9, 2)
+    assert longer.num_vertices == 9
+    for v in range(9):
+        for radius in range(6):
+            assert near(longer, v, radius) == near(fresh, v, radius)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_one_row_specs_behave_like_their_one_dimensional_twins(n):
+    for line, row in ((GraphSpec.path_power(n), GraphSpec.grid(1, n)),
+                      (GraphSpec.cycle_power(n), GraphSpec.torus(1, n))):
+        assert line.num_vertices == row.num_vertices == n
+        assert reflection_orbits(line) == reflection_orbits(row)
+        for u in range(n):
+            for radius in range(n + 1):
+                assert near(line, u, radius) == near(row, u, radius)
+            for v in range(n):
+                assert distance(line, u, v) == distance(row, u, v)
+        for t in range(1, 5):
+            for r in range(1, t + 1):
+                a, b = solve(line, SignalParams(t, r)), solve(row, SignalParams(t, r))
+                assert (a.gamma, a.witness.vertices, a.nodes_explored, a.lower_bound) == \
+                    (b.gamma, b.witness.vertices, b.nodes_explored, b.lower_bound)
 
 
 def test_vertex_range_checks():

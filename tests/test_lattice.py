@@ -76,6 +76,8 @@ def test_config_validation():
         LatticeConfig((2, 0), (0, 2), offsets=((0, 0), (2, 0)))  # same residue
     with pytest.raises(InputError):
         LatticeConfig((1, 0, 0), (0, 1))
+    with pytest.raises(InputError, match="^offsets must be integer pairs$"):
+        LatticeConfig((2, 0), (0, 2), offsets=((0, 0), (1,)))
     # distinct residues are fine
     LatticeConfig((2, 0), (0, 2), offsets=((0, 0), (1, 1)))
 

@@ -98,6 +98,16 @@ def test_towers_from_json_rejects_malformed():
         towers_from_json_dict({"spec": "path:n=3,k=1", "towers": ["x"]})
     with pytest.raises(InputError):
         towers_from_json_dict([1, 2])
+    with pytest.raises(InputError, match="^'towers' must be a list of integers$"):
+        towers_from_json_dict({"spec": "path:n=3,k=1", "towers": 5})
+
+
+def test_weighted_bound_rejects_bad_weights():
+    spec, params = GraphSpec.path_power(4, 1), SignalParams(2, 1)
+    assert weighted_bound(spec, params, [1, 0, 0, 1]) == (2, 1)
+    for weights in ([1, -1, 1, 1], [1, 1, 1]):
+        with pytest.raises(InputError, match="^weights must be one nonnegative integer per vertex$"):
+            weighted_bound(spec, params, weights)
 
 
 def max_capped_supply(spec, t_max):
