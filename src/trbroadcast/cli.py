@@ -5,7 +5,9 @@ and diagnostics go to stderr. Exit codes: 0 success, 1 property
 failure (a falsified claim, a failed verification, a sweep
 disagreement), 2 bad input, 3 node budget exhausted, 4 internal error
 (an unexpected exception, such as a failed self-audit; its traceback
-goes to stderr).
+goes to stderr). Every payload, CSV row and plain-text form is built
+here from the library's plain result records; the library writes only
+the tower-set and lattice-config files that it reads back.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import os
 import sys
 import time
 import traceback
+from dataclasses import asdict
 
 from . import __version__
 from .errors import InputError
@@ -221,8 +224,7 @@ def cmd_lattice_density(args, outputs: list[str]) -> int:
 
 def cmd_lattice_verify(args, outputs: list[str]) -> int:
     check = verify_periodic(_lattice_config(args), _params(args))
-    payload = {"ok": check.ok,
-               "witness": list(check.witness) if check.witness else None,
+    payload = {"ok": check.ok, "witness": check.witness,
                "signal": check.signal, "required": args.r}
     text = "OK" if check.ok else (
         f"FAIL cell={check.witness} signal={check.signal} required={args.r}"
@@ -232,9 +234,18 @@ def cmd_lattice_verify(args, outputs: list[str]) -> int:
 
 def cmd_lattice_excess(args, outputs: list[str]) -> int:
     report = excess_report(_lattice_config(args), _params(args))
+    rows = [(x, y, c, e) for (x, y), (c, e) in report.per_vertex.items()]
     if args.csv is not None:
-        _emit(_csv_text(report.csv_rows()), args.csv, outputs)
-    return _report(args, outputs, report.to_json_dict())
+        header = ("x", "y", "capped_signal", "excess")
+        _emit(_csv_text([header, *rows]), args.csv, outputs)
+    payload = {"params": {"t": args.t, "r": args.r}, "period": report.period,
+               "towers_per_domain": report.towers_per_domain,
+               "total_excess": report.total_excess,
+               "avg_excess_per_tower": str(report.avg_excess_per_tower),
+               "broadcasting": report.broadcasting,
+               "per_vertex": [{"vertex": [x, y], "capped_signal": c, "excess": e}
+                              for x, y, c, e in rows]}
+    return _report(args, outputs, payload)
 
 
 def cmd_lattice_window(args, outputs: list[str]) -> int:
@@ -279,7 +290,9 @@ def cmd_lattice_profile(args, outputs: list[str]) -> int:
         f"observed per-tower excess {profile.average_per_tower} differs from "
         f"the claimed total {profile.claimed_total} (documented finding)"
     )
-    return _report(args, outputs, profile.to_json_dict(), note=note)
+    payload = {**asdict(profile), "average_per_tower": str(profile.average_per_tower),
+               "claimed_total": str(profile.claimed_total)}
+    return _report(args, outputs, payload, note=note)
 
 
 # ------------------------------------------------------------------ sweep

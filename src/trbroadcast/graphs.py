@@ -48,6 +48,10 @@ class GraphSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.family, Family):
             raise InputError(f"graph family must be a Family, got {self.family!r}")
+        for name in ("n", "k", "rows", "cols"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise InputError(f"graph {name} must be an integer, got {value!r}")
         if self.family in (Family.PATH, Family.CYCLE):
             if self.n < 1:
                 raise InputError(f"{self.family.value}: need n >= 1, got {self.n}")

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, check_entries
@@ -264,6 +264,8 @@ class ExcessReport:
     per_vertex maps each cell of fundamental_domain, in its order, to
     (capped_signal, excess). Totals are per fundamental domain; the
     average divides by towers_per_domain and stays an exact fraction.
+    Plain data: the CLI's `lattice excess` builds its JSON payload and
+    CSV rows from these fields.
     """
 
     params: SignalParams
@@ -273,26 +275,6 @@ class ExcessReport:
     towers_per_domain: int
     avg_excess_per_tower: Fraction
     broadcasting: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "params": {"t": self.params.t, "r": self.params.r},
-            "period": list(self.period),
-            "towers_per_domain": self.towers_per_domain,
-            "total_excess": self.total_excess,
-            "avg_excess_per_tower": str(self.avg_excess_per_tower),
-            "broadcasting": self.broadcasting,
-            "per_vertex": [
-                {"vertex": list(v), "capped_signal": c, "excess": e}
-                for v, (c, e) in self.per_vertex.items()
-            ],
-        }
-
-    def csv_rows(self) -> list[list]:
-        rows: list[list] = [["x", "y", "capped_signal", "excess"]]
-        for (x, y), (c, e) in self.per_vertex.items():
-            rows.append([x, y, c, e])
-        return rows
 
 
 def excess_report(config: LatticeConfig, params: SignalParams) -> ExcessReport:
@@ -341,6 +323,8 @@ def window_excess(
         raise InputError(
             f"orientation must be one of {tuple(_WINDOW_FRAMES)}, got {orientation!r}"
         )
+    if len(tower) != 2 or not all(type(c) is int for c in tower):
+        raise InputError(f"tower must be an integer pair, got {tower!r}")
     offset_cells = {_cell(config, o) for o in config.offsets}
     if _cell(config, tower) not in offset_cells:
         raise InputError(f"{tower} is not a tower of this configuration")
@@ -429,7 +413,8 @@ class PromotionProfile:
     grouped by diagonal. claimed_* fields carry the closed forms the
     audit is checked against (2k - 2i - 1 per diagonal i and
     k(k+1)(2k+1)/6 in total); matches_claimed records whether the
-    observed average agrees with the claimed total.
+    observed average agrees with the claimed total. Plain data: the
+    CLI's `lattice profile` writes it as JSON, its fractions as strings.
     """
 
     t: int
@@ -443,12 +428,6 @@ class PromotionProfile:
     claimed_total: Fraction
     all_excess_inside_square: bool
     matches_claimed: bool
-
-    def to_json_dict(self) -> dict:
-        data = asdict(self)
-        for name in ("average_per_tower", "claimed_total"):
-            data[name] = str(data[name])
-        return data
 
 
 def promotion_excess_profile(t: int, k: int) -> PromotionProfile:

@@ -22,6 +22,9 @@ class SignalParams:
     r: int
 
     def __post_init__(self) -> None:
+        for name, value in (("t", self.t), ("r", self.r)):
+            if type(value) is not int:
+                raise InputError(f"{name} must be an integer, got {value!r}")
         if self.t < 1 or self.r < 1:
             raise InputError(f"need t >= 1 and r >= 1, got t={self.t}, r={self.r}")
 

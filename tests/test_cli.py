@@ -2,6 +2,8 @@
 
 import concurrent.futures
 import contextlib
+import csv
+import hashlib
 import io
 import json
 import os
@@ -333,6 +335,44 @@ def test_lattice_excess_json_and_csv(tmp_path):
     assert len(lines) == 42  # header + one row per residue
 
 
+def test_excess_report_serialization(tmp_path):
+    csv_file = tmp_path / "excess.csv"
+    code, out, _ = run(["lattice", "excess", "--t3", "4", "-t", "4", "-r", "3",
+                        "--csv", str(csv_file)])
+    assert code == 0
+    with open(csv_file, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["x", "y", "capped_signal", "excess"]
+    assert len(rows) == 14
+    payload = json.loads(out)
+    assert payload["total_excess"] == 4
+    assert payload["avg_excess_per_tower"] == "4"
+    assert len(payload["per_vertex"]) == 13
+
+
+def test_lattice_payload_bytes_are_pinned(tmp_path):
+    # sha256 of the exact bytes written: four stdout payloads and the
+    # excess run's --csv file.
+    def sha256(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    csv_file = tmp_path / "excess.csv"
+    for argv, want_code, digest in (
+        (["lattice", "excess", "--t3", "5", "-t", "5", "-r", "3", "--csv", str(csv_file)], 0,
+         "c348905626a651da1f777bae74aac67d62c97dbb52ae2db366e0a06661541ebf"),
+        (["lattice", "profile", "-t", "6", "-k", "2"], 0,
+         "f06b9160399b84055c5698228aaefa5aec702478b999ddf696737e4cddfe5000"),
+        (["lattice", "density", "--t3", "5", "--json"], 0,
+         "b6935d5741b00bc2cd5c6986e6adc04872b4d393369841f7077b0bf91acd83c8"),
+        (["lattice", "verify", "--t3", "12", "-t", "12", "-r", "4", "--json"], 1,
+         "c16cfaa15061658213a00769570fcdd39158509800a447fa0d1496f7100b852d"),
+    ):
+        code, out, _ = run(argv)
+        assert (code, sha256(out.encode("utf-8"))) == (want_code, digest), argv
+    assert sha256(csv_file.read_bytes()) == (
+        "6e7956c3a0a20116f34819f48ffddbda3329a9441e4789744ef8a6194f899a50")
+
+
 def test_lattice_verify_witness_is_the_first_deficient_excess_row(tmp_path):
     # verify and excess name cells alike, and both scan fundamental_domain order
     args = ["--t3", "40", "-t", "40", "-r", "4"]
@@ -401,6 +441,18 @@ def test_lattice_profile_flags_discrepancy_but_passes():
     assert payload["claimed_total"] == "1"
     assert payload["matches_claimed"] is False
     assert "documented finding" in err
+
+
+def test_profile_json_shape():
+    code, out, _ = run(["lattice", "profile", "-t", "6", "-k", "2"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["k"] == 2
+    assert payload["audit_params"] == {"t": 8, "r": 5}
+    assert payload["matches_claimed"] is False
+    assert len(payload["per_diagonal"]) == len(
+        {d["diagonal"] for d in payload["per_diagonal"]}
+    )
 
 
 # ------------------------------------------------------------------ sweep
@@ -700,6 +752,16 @@ def test_installed_entry_point_smoke():
     # main()'s exit code must reach the shell, not only its output
     proc = script("formula", "path", "-n", "0", "-k", "1", "-t", "3", "-r", "2")
     assert proc.returncode == 2
+
+
+def test_importing_the_cli_loads_no_pool_logging_or_event_loop():
+    # The benchmark's setup_s times this import in a fresh interpreter,
+    # and cmd_sweep imports its process pool lazily to keep it cheap.
+    heavy = ("concurrent.futures", "multiprocessing", "logging", "subprocess", "asyncio")
+    code = f"import sys, trbroadcast.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=src_env())
+    assert (proc.returncode, proc.stdout.strip(), proc.stderr) == (0, "[]", "")
 
 
 def test_python_dash_m_runs_the_cli():

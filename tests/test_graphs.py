@@ -248,6 +248,15 @@ def test_spec_validation():
         GraphSpec("cycle", n=10)
     with pytest.raises(InputError, match=r"^graph family must be a Family, got 'hex'$"):
         GraphSpec("hex", rows=2, cols=2)
+    # Sizes must be ints: not floats, which later fail with TypeError, nor bools.
+    with pytest.raises(InputError, match=r"^graph n must be an integer, got 4\.5$"):
+        GraphSpec.path_power(4.5)
+    with pytest.raises(InputError, match=r"^graph k must be an integer, got 2\.0$"):
+        GraphSpec.cycle_power(5, 2.0)
+    with pytest.raises(InputError, match=r"^graph cols must be an integer, got 2\.0$"):
+        GraphSpec.grid(2, 2.0)
+    with pytest.raises(InputError, match=r"^graph rows must be an integer, got True$"):
+        GraphSpec.torus(True, 3)
 
 
 def test_the_stored_box_is_invisible():

@@ -420,17 +420,6 @@ def test_perfect_tiling_has_zero_excess():
         assert all(v == (1, 0) for v in report.per_vertex.values())
 
 
-def test_excess_report_serialization():
-    report = excess_report(t3_tiling(4), SignalParams(4, 3))
-    rows = report.csv_rows()
-    assert rows[0] == ["x", "y", "capped_signal", "excess"]
-    assert len(rows) == 14
-    payload = report.to_json_dict()
-    assert payload["total_excess"] == 4
-    assert payload["avg_excess_per_tower"] == "4"
-    assert len(payload["per_vertex"]) == 13
-
-
 def test_report_flags_deficient_configuration():
     report = excess_report(t3_tiling(5), SignalParams(4, 3))
     assert not report.broadcasting
@@ -491,6 +480,11 @@ def test_window_excess_input_errors():
         window_excess(config, SignalParams(5, 3), (1, 0), "E")  # not a tower
     with pytest.raises(InputError):
         window_excess(config, SignalParams(5, 3), (0, 0), "Q")
+    # A tower must be an integer pair, checked as LatticeConfig checks an offset.
+    with pytest.raises(InputError, match=r"^tower must be an integer pair, got \(0\.0, 0\)$"):
+        window_excess(t3_tiling(6), SignalParams(6, 3), (0.0, 0))
+    with pytest.raises(InputError, match=r"^tower must be an integer pair, got \(0, 0, 5\)$"):
+        window_excess(t3_tiling(6), SignalParams(6, 3), (0, 0, 5))
 
 
 # -------------------------------------------------------------- promotion
@@ -550,16 +544,6 @@ def test_promotion_profile_validation():
         promotion_excess_profile(5, 0)
     with pytest.raises(InputError):
         promotion_excess_profile(3, 3)
-
-
-def test_profile_json_shape():
-    payload = promotion_excess_profile(6, 2).to_json_dict()
-    assert payload["k"] == 2
-    assert payload["audit_params"] == {"t": 8, "r": 5}
-    assert payload["matches_claimed"] is False
-    assert len(payload["per_diagonal"]) == len(
-        {d["diagonal"] for d in payload["per_diagonal"]}
-    )
 
 
 # ------------------------------------------------- finite torus cross-check

@@ -25,6 +25,13 @@ def test_params_validation():
         SignalParams(3, 0)
     # t < r is allowed at the engine level, only constructions insist on t >= r
     SignalParams(2, 5)
+    # t and r must be ints: not floats, which later fail with TypeError, nor bools.
+    with pytest.raises(InputError, match=r"^t must be an integer, got 2\.5$"):
+        SignalParams(2.5, 1)
+    with pytest.raises(InputError, match=r"^r must be an integer, got 1\.0$"):
+        SignalParams(2, 1.0)
+    with pytest.raises(InputError, match=r"^t must be an integer, got True$"):
+        SignalParams(True, True)
 
 
 def test_is_broadcasting_reports_first_shortfall():
