@@ -21,6 +21,7 @@ import sys
 import time
 import traceback
 from dataclasses import asdict
+from functools import cache
 
 from . import __version__
 from .errors import InputError
@@ -91,7 +92,70 @@ def _emit(text: str, out: str | None, outputs: list[str]) -> None:
 
 
 def _json_text(payload) -> str:
+    """`json.dumps(payload, indent=2, sort_keys=True)`, byte for byte.
+
+    With indent set, json.dumps runs its pure-Python encoder. So a
+    top-level value that is a list of flat rows of one shape, such as
+    the `per_vertex` rows of `lattice excess`, is written by
+    `_rows_json` instead. Every other value still goes through
+    json.dumps, re-indented for its depth: JSON escapes newlines inside
+    strings, so each newline json.dumps writes is a line break.
+    """
+    if type(payload) is dict and all(type(key) is str for key in payload):
+        rows = {key: text for key, value in payload.items()
+                if (text := _rows_json(value)) is not None}
+        if rows:
+            items = (
+                f"  {json.dumps(key)}: " + (
+                    rows[key] if key in rows
+                    else json.dumps(payload[key], indent=2, sort_keys=True).replace("\n", "\n  ")
+                )
+                for key in sorted(payload)
+            )
+            return "{\n" + ",\n".join(items) + "\n}"
     return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def _rows_json(rows) -> str | None:
+    """The indented JSON of `rows` as a top-level value, or None.
+
+    Served only when `rows` is a non-empty list of dicts that all have
+    the first one's string keys and, under each key, what the first has
+    there: an int (not a bool), or a non-empty list of that many ints.
+    Every row is checked, column by column, then all are written with
+    one %-template.
+    """
+    if not (type(rows) is list and rows and type(rows[0]) is dict and rows[0]
+            and all(type(key) is str for key in rows[0])):
+        return None
+    keys = sorted(rows[0])
+    # A dict with as many keys as the first, each of them found, has its keys.
+    if set(map(type, rows)) != {dict} or set(map(len, rows)) != {len(keys)}:
+        return None
+    columns, lines = [], []
+    for key in keys:
+        try:
+            column = [row[key] for row in rows]
+        except KeyError:
+            return None
+        name = json.dumps(key).replace("%", "%%")
+        kinds = set(map(type, column))
+        if kinds == {int}:
+            columns.append(column)
+            lines.append(f"      {name}: %d")
+            continue
+        lengths = set(map(len, column)) if kinds == {list} else set()
+        if len(lengths) != 1 or 0 in lengths:
+            return None
+        (length,) = lengths
+        for i in range(length):
+            entries = [value[i] for value in column]
+            if set(map(type, entries)) != {int}:
+                return None
+            columns.append(entries)
+        lines.append(f"      {name}: [\n" + ",\n".join(["        %d"] * length) + "\n      ]")
+    template = "    {\n" + ",\n".join(lines) + "\n    }"
+    return "[\n" + ",\n".join(map(template.__mod__, zip(*columns))) + "\n  ]"
 
 
 def _csv_text(rows) -> str:
@@ -475,6 +539,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first `main` call.
+
+    Each parse returns a fresh namespace, and no action keeps state
+    between parses, so reusing the parser changes no result.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command; write its manifest when --manifest is given.
 
@@ -484,7 +558,7 @@ def main(argv: list[str] | None = None) -> int:
     itself bad input.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     started = time.monotonic()
     outputs: list[str] = []
     try:

@@ -41,6 +41,15 @@ Vec = tuple[int, int]
 _WINDOW_FRAMES = {"E": (1, 0), "N": (0, 1), "W": (-1, 0), "S": (0, -1)}
 
 
+def _is_int_pair(value) -> bool:
+    """Whether value holds exactly two ints (not bools); a value with no
+    length, such as a bare int, holds none."""
+    try:
+        return len(value) == 2 and all(type(c) is int for c in value)
+    except TypeError:
+        return False
+
+
 @dataclass(frozen=True)
 class LatticeConfig:
     """Integer lattice spanned by a and b, plus tower offsets.
@@ -57,7 +66,7 @@ class LatticeConfig:
 
     def __post_init__(self) -> None:
         for name, vec in (("a", self.a), ("b", self.b)):
-            if len(vec) != 2 or not all(type(c) is int for c in vec):
+            if not _is_int_pair(vec):
                 raise InputError(f"basis vector {name} must be an integer pair")
         if self.det == 0:
             raise InputError("basis vectors must be linearly independent")
@@ -67,7 +76,7 @@ class LatticeConfig:
         object.__setattr__(self, "_hermite", _fold(self))
         seen = set()
         for o in self.offsets:
-            if len(o) != 2 or not all(type(c) is int for c in o):
+            if not _is_int_pair(o):
                 raise InputError("offsets must be integer pairs")
             cell = _cell(self, o)
             if cell in seen:
@@ -323,7 +332,7 @@ def window_excess(
         raise InputError(
             f"orientation must be one of {tuple(_WINDOW_FRAMES)}, got {orientation!r}"
         )
-    if len(tower) != 2 or not all(type(c) is int for c in tower):
+    if not _is_int_pair(tower):
         raise InputError(f"tower must be an integer pair, got {tower!r}")
     offset_cells = {_cell(config, o) for o in config.offsets}
     if _cell(config, tower) not in offset_cells:

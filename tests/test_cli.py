@@ -4,6 +4,7 @@ import concurrent.futures
 import contextlib
 import csv
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -16,8 +17,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from trbroadcast import BroadcastCheck
+from trbroadcast import BroadcastCheck, cli
 from trbroadcast.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -631,6 +634,130 @@ def test_manifest_lists_files_written_before_a_failing_write(tmp_path):
     assert err.startswith("error: cannot write ")
     assert csv_file.read_text().startswith("x,y,capped_signal,excess\n")
     assert json.loads(manifest.read_text())["outputs"] == [str(csv_file)]
+
+
+# ------------------------------------------------- JSON writer and parser
+
+
+def json_dumps_text(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+JSON_LEAVES = (st.none() | st.booleans() | st.integers()
+               | st.integers(min_value=-(2 ** 70), max_value=2 ** 70)
+               | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=6))
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def row_lists(draw):
+    """Lists of dicts of one shape, like per_vertex, now and then with a stray item."""
+    keys = draw(st.lists(st.text(max_size=4), min_size=1, max_size=4, unique=True))
+    shape = {key: draw(st.none() | st.integers(min_value=0, max_value=3)) for key in keys}
+    row = st.fixed_dictionaries({
+        key: st.integers() if n is None else st.lists(st.integers(), min_size=n, max_size=n)
+        for key, n in shape.items()
+    })
+    return draw(st.lists(row, min_size=1, max_size=5)
+                | st.lists(row | JSON_VALUES, min_size=1, max_size=5))
+
+
+# A later row that must leave the fast path, after a first row that fits it.
+FIRST_ROW = {"vertex": [0, 0], "excess": 1}
+STRAY_ROWS = [
+    {"vertex": [1, 2], "excess": True},  # a bool
+    {"vertex": [1, 2]},  # a missing key
+    {"vertex": [1, 2], "excess": 1, "extra": 0},  # an extra key
+    {"vertex": [1, 2, 3], "excess": 1},  # a nested list of another length
+    {"vertex": (1, 2), "excess": 1},  # a tuple
+    {"vertex": [1, False], "excess": 1},  # a bool inside the nested list
+    {"vertex": [1, 2], "other": 1},  # as many keys, not the same ones
+]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.dictionaries(st.text(max_size=6), JSON_VALUES | row_lists(), max_size=5)
+       | JSON_VALUES)
+@example({"per_vertex": [FIRST_ROW, {"vertex": [3, -4], "excess": 2 ** 64}],
+          "avg": "1/3", "t": 0.5, "é\n%d": [{"%s": [-(2 ** 63) - 1]}] * 2})
+@example({"rows": [FIRST_ROW, FIRST_ROW], "empty": [], "none": {}, "nested": {"a": [[], {}]}})
+@example({"rows": [{}, {}]})
+@example({"rows": [{"a": []}, {"a": []}]})
+@example({"rows": [FIRST_ROW, FIRST_ROW], "text": "line\nbreak é ü 中"})
+@example({"rows": [FIRST_ROW, STRAY_ROWS[0]]})
+@example({"rows": [FIRST_ROW, STRAY_ROWS[1]]})
+@example({"rows": [FIRST_ROW, STRAY_ROWS[2]]})
+@example({"rows": [FIRST_ROW, STRAY_ROWS[3]]})
+@example({"rows": [FIRST_ROW, STRAY_ROWS[4]]})
+@example({"rows": [FIRST_ROW, STRAY_ROWS[5]]})
+@example({"rows": [FIRST_ROW, STRAY_ROWS[6]]})
+def test_json_text_equals_json_dumps(payload):
+    assert cli._json_text(payload) == json_dumps_text(payload)
+
+
+def test_only_rows_of_one_shape_take_the_row_writer():
+    assert cli._rows_json([FIRST_ROW, {"vertex": [-1, 2 ** 70], "excess": -3}]) is not None
+    for stray in STRAY_ROWS:
+        assert cli._rows_json([FIRST_ROW, stray]) is None, stray
+    for value in ([], [{}], [[1]], [{"a": []}], [{"a": 1.0}], [{1: 1}], (FIRST_ROW,), FIRST_ROW):
+        assert cli._rows_json(value) is None, value
+
+
+@pytest.mark.parametrize("workload", ["lattice", "grid-search", "audit-large"])
+def test_bench_plan_outputs_are_json_dumps_bytes(tmp_path, monkeypatch, workload):
+    # Every job of the benchmark's plan, on stdout and again with --out
+    # and --manifest.
+    def canonical(text: str) -> str:
+        return json_dumps_text(json.loads(text)) + "\n"
+
+    monkeypatch.syspath_prepend(str(REPO / "bench"))
+    plan = importlib.import_module("workloads").build_plan(workload, 5, tmp_path, 0)
+    out_file, manifest = tmp_path / "out.json", tmp_path / "manifest.json"
+    for job in plan.jobs:
+        code, out, _ = run(job.argv)
+        assert out == canonical(out), job.argv
+        assert run([*job.argv, "--out", str(out_file), "--manifest", str(manifest)])[:2] == (
+            code, ""), job.argv
+        assert out_file.read_text(encoding="utf-8") == out, job.argv
+        text = manifest.read_text(encoding="utf-8")
+        assert text == canonical(text), job.argv
+
+
+def test_main_builds_one_parser_per_process(monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    for n in range(1, 21):
+        assert run(["formula", "path", "-n", str(n), "-t", "3", "-r", "2"])[0] == 0
+    assert run(["lattice", "verify", "--t3", "10", "-t", "10", "-r", "3"])[:2] == (0, "OK\n")
+    assert built == [1]
+
+
+def test_a_reused_parser_keeps_no_state_between_calls(tmp_path):
+    verify = ["lattice", "verify", "--t3", "10", "-t", "10", "-r", "3"]
+    code, out, _ = run([*verify, "--json"])
+    assert (code, json.loads(out)["ok"]) == (0, True)
+    assert run(verify)[:2] == (0, "OK\n")
+
+    manifest = tmp_path / "run.json"
+    formula = ["formula", "path", "-n", "10", "-t", "3", "-r", "2", "--manifest", str(manifest)]
+    assert run([*formula, "--out", str(tmp_path / "gamma.txt")])[0] == 0
+    assert json.loads(manifest.read_text())["inputs"]["out"] == str(tmp_path / "gamma.txt")
+    assert run(formula)[:2] == (0, "3\n")
+    assert json.loads(manifest.read_text())["inputs"]["out"] is None
+
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(["formula", "path", "-n", "ten", "-t", "3", "-r", "2"])
+    assert exc.value.code == 2
+    assert err.getvalue().startswith("usage: trbroadcast formula")
+    assert run(["formula", "path", "-n", "10", "-t", "3", "-r", "2"]) == (0, "3\n", "")
 
 
 # ------------------------------------------------------- unwritable paths

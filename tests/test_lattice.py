@@ -78,6 +78,11 @@ def test_config_validation():
         LatticeConfig((1, 0, 0), (0, 1))
     with pytest.raises(InputError, match="^offsets must be integer pairs$"):
         LatticeConfig((2, 0), (0, 2), offsets=((0, 0), (1,)))
+    # A value with no length is refused as bad input, not a TypeError.
+    with pytest.raises(InputError, match="^offsets must be integer pairs$"):
+        LatticeConfig((1, 0), (0, 1), offsets=(5,))
+    with pytest.raises(InputError, match="^basis vector a must be an integer pair$"):
+        LatticeConfig(5, (0, 1))
     # distinct residues are fine
     LatticeConfig((2, 0), (0, 2), offsets=((0, 0), (1, 1)))
 
@@ -485,6 +490,8 @@ def test_window_excess_input_errors():
         window_excess(t3_tiling(6), SignalParams(6, 3), (0.0, 0))
     with pytest.raises(InputError, match=r"^tower must be an integer pair, got \(0, 0, 5\)$"):
         window_excess(t3_tiling(6), SignalParams(6, 3), (0, 0, 5))
+    with pytest.raises(InputError, match=r"^tower must be an integer pair, got 0$"):
+        window_excess(t3_tiling(6), SignalParams(6, 3), 0)
 
 
 # -------------------------------------------------------------- promotion
