@@ -7,7 +7,10 @@ disagreement), 2 bad input, 3 node budget exhausted, 4 internal error
 (an unexpected exception, such as a failed self-audit; its traceback
 goes to stderr). Every payload, CSV row and plain-text form is built
 here from the library's plain result records; the library writes only
-the tower-set and lattice-config files that it reads back.
+the tower-set and lattice-config files that it reads back. Every JSON
+payload is the text of json.dumps(indent=2, sort_keys=True); only the
+`lattice excess` per-vertex rows, the one long list, are written into
+that text from one fixed template, with the same bytes.
 """
 
 from __future__ import annotations
@@ -92,70 +95,8 @@ def _emit(text: str, out: str | None, outputs: list[str]) -> None:
 
 
 def _json_text(payload) -> str:
-    """`json.dumps(payload, indent=2, sort_keys=True)`, byte for byte.
-
-    With indent set, json.dumps runs its pure-Python encoder. So a
-    top-level value that is a list of flat rows of one shape, such as
-    the `per_vertex` rows of `lattice excess`, is written by
-    `_rows_json` instead. Every other value still goes through
-    json.dumps, re-indented for its depth: JSON escapes newlines inside
-    strings, so each newline json.dumps writes is a line break.
-    """
-    if type(payload) is dict and all(type(key) is str for key in payload):
-        rows = {key: text for key, value in payload.items()
-                if (text := _rows_json(value)) is not None}
-        if rows:
-            items = (
-                f"  {json.dumps(key)}: " + (
-                    rows[key] if key in rows
-                    else json.dumps(payload[key], indent=2, sort_keys=True).replace("\n", "\n  ")
-                )
-                for key in sorted(payload)
-            )
-            return "{\n" + ",\n".join(items) + "\n}"
+    """The CLI's one JSON form: json.dumps, indented, keys sorted."""
     return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def _rows_json(rows) -> str | None:
-    """The indented JSON of `rows` as a top-level value, or None.
-
-    Served only when `rows` is a non-empty list of dicts that all have
-    the first one's string keys and, under each key, what the first has
-    there: an int (not a bool), or a non-empty list of that many ints.
-    Every row is checked, column by column, then all are written with
-    one %-template.
-    """
-    if not (type(rows) is list and rows and type(rows[0]) is dict and rows[0]
-            and all(type(key) is str for key in rows[0])):
-        return None
-    keys = sorted(rows[0])
-    # A dict with as many keys as the first, each of them found, has its keys.
-    if set(map(type, rows)) != {dict} or set(map(len, rows)) != {len(keys)}:
-        return None
-    columns, lines = [], []
-    for key in keys:
-        try:
-            column = [row[key] for row in rows]
-        except KeyError:
-            return None
-        name = json.dumps(key).replace("%", "%%")
-        kinds = set(map(type, column))
-        if kinds == {int}:
-            columns.append(column)
-            lines.append(f"      {name}: %d")
-            continue
-        lengths = set(map(len, column)) if kinds == {list} else set()
-        if len(lengths) != 1 or 0 in lengths:
-            return None
-        (length,) = lengths
-        for i in range(length):
-            entries = [value[i] for value in column]
-            if set(map(type, entries)) != {int}:
-                return None
-            columns.append(entries)
-        lines.append(f"      {name}: [\n" + ",\n".join(["        %d"] * length) + "\n      ]")
-    template = "    {\n" + ",\n".join(lines) + "\n    }"
-    return "[\n" + ",\n".join(map(template.__mod__, zip(*columns))) + "\n  ]"
 
 
 def _csv_text(rows) -> str:
@@ -298,18 +239,25 @@ def cmd_lattice_verify(args, outputs: list[str]) -> int:
 
 def cmd_lattice_excess(args, outputs: list[str]) -> int:
     report = excess_report(_lattice_config(args), _params(args))
-    rows = [(x, y, c, e) for (x, y), (c, e) in report.per_vertex.items()]
     if args.csv is not None:
         header = ("x", "y", "capped_signal", "excess")
+        rows = [(x, y, c, e) for (x, y), (c, e) in report.per_vertex.items()]
         _emit(_csv_text([header, *rows]), args.csv, outputs)
     payload = {"params": {"t": args.t, "r": args.r}, "period": report.period,
                "towers_per_domain": report.towers_per_domain,
                "total_excess": report.total_excess,
                "avg_excess_per_tower": str(report.avg_excess_per_tower),
                "broadcasting": report.broadcasting,
-               "per_vertex": [{"vertex": [x, y], "capped_signal": c, "excess": e}
-                              for x, y, c, e in rows]}
-    return _report(args, outputs, payload)
+               "per_vertex": None}
+    # Each per_vertex row, (capped_signal, excess, x, y), as
+    # json.dumps(indent=2, sort_keys=True) writes it in this payload. A
+    # domain has at least one cell, so the list is never empty.
+    row = ('    {\n      "capped_signal": %d,\n      "excess": %d,\n'
+           '      "vertex": [\n        %d,\n        %d\n      ]\n    }')
+    per_vertex = ",\n".join([row % (c, e, x, y) for (x, y), (c, e) in report.per_vertex.items()])
+    text = _json_text(payload).replace(
+        '"per_vertex": null', f'"per_vertex": [\n{per_vertex}\n  ]', 1)
+    return _report(args, outputs, None, text)
 
 
 def cmd_lattice_window(args, outputs: list[str]) -> int:

@@ -74,8 +74,12 @@ class LatticeConfig:
             raise InputError("need at least one tower offset")
         # Not a field: repr, equality, hashing and asdict never see it.
         object.__setattr__(self, "_hermite", _fold(self))
+        try:
+            offsets = iter(self.offsets)
+        except TypeError:
+            raise InputError("offsets must be integer pairs") from None
         seen = set()
-        for o in self.offsets:
+        for o in offsets:
             if not _is_int_pair(o):
                 raise InputError("offsets must be integer pairs")
             cell = _cell(self, o)
@@ -277,7 +281,6 @@ class ExcessReport:
     CSV rows from these fields.
     """
 
-    params: SignalParams
     period: tuple[int, int]
     per_vertex: dict[Vec, tuple[int, int]]
     total_excess: int
@@ -300,7 +303,6 @@ def excess_report(config: LatticeConfig, params: SignalParams) -> ExcessReport:
     field = _signal_field(config, params)
     total = sum(field) - r * len(field)
     return ExcessReport(
-        params=params,
         period=axis_periods(config),
         per_vertex={cell: (c, c - r) for cell, c in zip(fundamental_domain(config), field)},
         total_excess=total,

@@ -17,10 +17,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from trbroadcast import BroadcastCheck, cli
+from trbroadcast import BroadcastCheck, LatticeConfig, cli, fundamental_domain
 from trbroadcast.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -643,69 +643,46 @@ def json_dumps_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-JSON_LEAVES = (st.none() | st.booleans() | st.integers()
-               | st.integers(min_value=-(2 ** 70), max_value=2 ** 70)
-               | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=6))
-JSON_VALUES = st.recursive(
-    JSON_LEAVES,
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
-                                                                max_size=4),
-    max_leaves=12,
-)
-
-
 @st.composite
-def row_lists(draw):
-    """Lists of dicts of one shape, like per_vertex, now and then with a stray item."""
-    keys = draw(st.lists(st.text(max_size=4), min_size=1, max_size=4, unique=True))
-    shape = {key: draw(st.none() | st.integers(min_value=0, max_value=3)) for key in keys}
-    row = st.fixed_dictionaries({
-        key: st.integers() if n is None else st.lists(st.integers(), min_size=n, max_size=n)
-        for key, n in shape.items()
-    })
-    return draw(st.lists(row, min_size=1, max_size=5)
-                | st.lists(row | JSON_VALUES, min_size=1, max_size=5))
+def lattice_configs(draw):
+    """Config JSON for a nondegenerate lattice, |det| <= 300, with one to
+    three offsets distinct modulo it, each moved by a lattice vector."""
+    coordinate = st.integers(min_value=-17, max_value=17)
+    a, b = draw(st.tuples(st.tuples(coordinate, coordinate), st.tuples(coordinate, coordinate))
+                .filter(lambda ab: 0 < abs(ab[0][0] * ab[1][1] - ab[0][1] * ab[1][0]) <= 300))
+    cells = fundamental_domain(LatticeConfig(a, b))
+    picks = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=3, unique=True))
+    shift = st.integers(min_value=-2, max_value=2)
+    offsets = []
+    for x, y in picks:
+        m, n = draw(shift), draw(shift)
+        offsets.append([x + m * a[0] + n * b[0], y + m * a[1] + n * b[1]])
+    return {"a": list(a), "b": list(b), "offsets": offsets}
 
 
-# A later row that must leave the fast path, after a first row that fits it.
-FIRST_ROW = {"vertex": [0, 0], "excess": 1}
-STRAY_ROWS = [
-    {"vertex": [1, 2], "excess": True},  # a bool
-    {"vertex": [1, 2]},  # a missing key
-    {"vertex": [1, 2], "excess": 1, "extra": 0},  # an extra key
-    {"vertex": [1, 2, 3], "excess": 1},  # a nested list of another length
-    {"vertex": (1, 2), "excess": 1},  # a tuple
-    {"vertex": [1, False], "excess": 1},  # a bool inside the nested list
-    {"vertex": [1, 2], "other": 1},  # as many keys, not the same ones
-]
-
-
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(st.dictionaries(st.text(max_size=6), JSON_VALUES | row_lists(), max_size=5)
-       | JSON_VALUES)
-@example({"per_vertex": [FIRST_ROW, {"vertex": [3, -4], "excess": 2 ** 64}],
-          "avg": "1/3", "t": 0.5, "é\n%d": [{"%s": [-(2 ** 63) - 1]}] * 2})
-@example({"rows": [FIRST_ROW, FIRST_ROW], "empty": [], "none": {}, "nested": {"a": [[], {}]}})
-@example({"rows": [{}, {}]})
-@example({"rows": [{"a": []}, {"a": []}]})
-@example({"rows": [FIRST_ROW, FIRST_ROW], "text": "line\nbreak é ü 中"})
-@example({"rows": [FIRST_ROW, STRAY_ROWS[0]]})
-@example({"rows": [FIRST_ROW, STRAY_ROWS[1]]})
-@example({"rows": [FIRST_ROW, STRAY_ROWS[2]]})
-@example({"rows": [FIRST_ROW, STRAY_ROWS[3]]})
-@example({"rows": [FIRST_ROW, STRAY_ROWS[4]]})
-@example({"rows": [FIRST_ROW, STRAY_ROWS[5]]})
-@example({"rows": [FIRST_ROW, STRAY_ROWS[6]]})
-def test_json_text_equals_json_dumps(payload):
-    assert cli._json_text(payload) == json_dumps_text(payload)
-
-
-def test_only_rows_of_one_shape_take_the_row_writer():
-    assert cli._rows_json([FIRST_ROW, {"vertex": [-1, 2 ** 70], "excess": -3}]) is not None
-    for stray in STRAY_ROWS:
-        assert cli._rows_json([FIRST_ROW, stray]) is None, stray
-    for value in ([], [{}], [[1]], [{"a": []}], [{"a": 1.0}], [{1: 1}], (FIRST_ROW,), FIRST_ROW):
-        assert cli._rows_json(value) is None, value
+# r runs past what t can reach, so failing reports with negative excess
+# come up. The examples share tmp_path; each one rewrites both files.
+@settings(derandomize=True, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=lattice_configs(), t=st.integers(min_value=1, max_value=8),
+       r=st.integers(min_value=1, max_value=9))
+@example(config={"a": [1, 0], "b": [0, 1], "offsets": [[0, 0]]}, t=3, r=7)
+@example(config={"a": [38, 36], "b": [36, -38], "offsets": [[0, 0], [19, 18], [18, -19], [37, -1]]},
+         t=20, r=4)
+def test_excess_rows_are_json_dumps_bytes_and_the_csv_rows(tmp_path, config, t, r):
+    config_file, csv_file = tmp_path / "config.json", tmp_path / "excess.csv"
+    config_file.write_text(json.dumps(config))
+    code, out, _ = run(["lattice", "excess", "--config", str(config_file), "-t", str(t),
+                        "-r", str(r), "--csv", str(csv_file)])
+    assert code == 0
+    assert out == json_dumps_text(json.loads(out)) + "\n"
+    with open(csv_file, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["x", "y", "capped_signal", "excess"]
+    assert [tuple(map(int, row)) for row in rows] == [
+        (*row["vertex"], row["capped_signal"], row["excess"])
+        for row in json.loads(out)["per_vertex"]
+    ]
 
 
 @pytest.mark.parametrize("workload", ["lattice", "grid-search", "audit-large"])

@@ -81,6 +81,8 @@ def test_config_validation():
     # A value with no length is refused as bad input, not a TypeError.
     with pytest.raises(InputError, match="^offsets must be integer pairs$"):
         LatticeConfig((1, 0), (0, 1), offsets=(5,))
+    with pytest.raises(InputError, match="^offsets must be integer pairs$"):
+        LatticeConfig((1, 0), (0, 1), offsets=5)
     with pytest.raises(InputError, match="^basis vector a must be an integer pair$"):
         LatticeConfig(5, (0, 1))
     # distinct residues are fine
